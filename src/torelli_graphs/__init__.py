@@ -41,6 +41,7 @@ from .contraction import (
     SingularPoint,
     classify_axis_points,
     fiber_strata,
+    iter_fiber_strata,
     leaf_labeled_trees,
     z_contract,
 )

@@ -175,16 +175,15 @@ def separating_bridge_assignment(graph: StableGraph) -> frozenset:
     edge separates.
     """
     sep = graph.separating_edges()
-    out = []
-    for v in graph.vertices():
-        if graph.vertex_genus(v) or graph.legs_at(v) or graph.branch_points_at(v):
-            continue
-        incident = [e for e in graph.edges() if v in graph.edge_vertices(e)]
-        if any(graph.is_loop(e) for e in incident):
-            continue
-        if all(e in sep for e in incident):
-            out.append(v)
-    return frozenset(out)
+    # loops never separate, so one test covers loops and cycle edges
+    blocked = {graph.vertex_of(h) for h in graph.legs.values()}
+    blocked.update(graph.vertex_of(h) for h in graph.branch_points())
+    for e in graph.edges():
+        if e not in sep:
+            blocked.update(graph.edge_vertices(e))
+    return frozenset(
+        v for v in graph.vertices() if not graph.vertex_genus(v) and v not in blocked
+    )
 
 
 def _raw_separating_assignment(raw) -> int:
@@ -402,7 +401,9 @@ def verify_extremal(
         smask = assignment.value_mask(deg.source)
         tmask = assignment.value_mask(deg.target)
         for v, merged in deg.vertex_map:
-            bits = sum(1 << u for u in merged)
+            bits = 0
+            for u in merged:
+                bits |= 1 << u
             if bool(smask & (1 << v)) != (tmask & bits == bits):
                 report.axiom2_violations.append(
                     (

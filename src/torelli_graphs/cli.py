@@ -64,6 +64,7 @@ class RunConfig:
             raise DomainError(f"unknown format {self.format!r}")
         if self.jobs < 1:
             raise DomainError("--jobs must be >= 1")
+        self.jobs = min(self.jobs, os.cpu_count() or 1)
 
     def echo(self) -> dict:
         out = {"command": self.command}

@@ -454,9 +454,9 @@ class FiberStrata:
     choices: tuple
 
 
-def fiber_strata(axis: AxisGraph) -> FiberStrata:
-    """Enumerate the fiber by replacing every multiplicity >= 3 point with
-    each stable labelled tree on its slots, leaves glued slotwise."""
+def _fiber_menus(axis: AxisGraph) -> tuple:
+    """The points of multiplicity >= 3 as (index, point) pairs, and the
+    labelled-tree menu of each."""
     for p in axis.singular_points():
         if p.genus != 0:
             raise DomainError("fiber enumeration needs all points of genus zero")
@@ -465,81 +465,83 @@ def fiber_strata(axis: AxisGraph) -> FiberStrata:
     big = [
         (i, p) for i, p in enumerate(axis.singular_points()) if p.multiplicity >= 3
     ]
-    menus = [leaf_labeled_trees(p.multiplicity) for _, p in big]
-    counts = tuple(
-        (i, p.multiplicity, len(menu)) for (i, p), menu in zip(big, menus)
-    )
-    total = 1
-    for _, _, c in counts:
-        total *= c
-    dim = sum(p.multiplicity - 3 for _, p in big)
+    return big, [leaf_labeled_trees(p.multiplicity) for _, p in big]
 
-    base_vertices = {
-        cid: axis.component_genus(cid) for cid in axis.components()
-    }
-    base_legs = {}
+
+def iter_fiber_strata(axis: AxisGraph):
+    """Yield the fiber lazily as (graph, inserted vertex ids, choice), in the
+    order of ``fiber_strata``: one stratum per choice of a stable labelled
+    tree at every multiplicity >= 3 point, leaves glued slotwise."""
+    big, menus = _fiber_menus(axis)
+    vertices = {cid: axis.component_genus(cid) for cid in axis.components()}
+    # the halfedges of slots, legs and nodes are the same in every stratum
+    hid_counter = itertools.count(10_000_000)
+    halfedges = []
+    slot_hid = {}
+    for p in axis.singular_points():
+        for cid, sid in p.slots:
+            h = next(hid_counter)
+            halfedges.append((h, cid))
+            slot_hid[(cid, sid)] = h
+    legmap = {}
     for cid in axis.components():
-        for l in axis.component_legs(cid):
-            base_legs[l] = cid
-
-    graphs = []
-    inserted_all = []
-    choice_list = []
-    fresh_start = max(axis.components()) + 1 if axis.components() else 0
-    for combo in itertools.product(*(range(len(menu)) for menu in menus)):
-        vertices = dict(base_vertices)
-        # halfedge bookkeeping via explicit lists so slot ids survive
-        halfedges = []
-        epairs = []
-        hid_counter = itertools.count(10_000_000)
-        slot_hid = {}
-        for p in axis.singular_points():
-            for cid, sid in p.slots:
-                h = next(hid_counter)
-                halfedges.append((h, cid))
-                slot_hid[(cid, sid)] = h
-        legmap = {}
-        leg_hid = {}
-        for lab, cid in base_legs.items():
+        for lab in axis.component_legs(cid):
             h = next(hid_counter)
             halfedges.append((h, cid))
             legmap[lab] = h
-        for p in axis.singular_points():
-            if p.multiplicity == 2:
-                a, b = p.slots
-                epairs.append((slot_hid[a], slot_hid[b]))
-        inserted = set()
+    epairs = [
+        (slot_hid[p.slots[0]], slot_hid[p.slots[1]])
+        for p in axis.singular_points() if p.multiplicity == 2
+    ]
+    first_tree_hid = next(hid_counter)
+    fresh_start = max(axis.components()) + 1 if axis.components() else 0
+
+    for combo in itertools.product(*(range(len(menu)) for menu in menus)):
+        stratum_vertices = dict(vertices)
+        stratum_halfedges = list(halfedges)
+        stratum_epairs = list(epairs)
+        hids = itertools.count(first_tree_hid)
         fresh_v = itertools.count(fresh_start)
-        for (pi, p), menu, pick in zip(big, menus, combo):
+        inserted = set()
+        for (_, p), menu, pick in zip(big, menus, combo):
             tree = menu[pick]
             slot_order = sorted(p.slots)
             vmap = {}
             for tv in tree.vertices():
                 nid = next(fresh_v)
                 vmap[tv] = nid
-                vertices[nid] = 0
+                stratum_vertices[nid] = 0
                 inserted.add(nid)
             hmap = {}
             for th in tree.halfedges():
-                h = next(hid_counter)
+                h = next(hids)
                 hmap[th] = h
-                halfedges.append((h, vmap[tree.vertex_of(th)]))
+                stratum_halfedges.append((h, vmap[tree.vertex_of(th)]))
             for e in tree.edges():
-                epairs.append((hmap[e[0]], hmap[e[1]]))
+                stratum_epairs.append((hmap[e[0]], hmap[e[1]]))
             for lab, th in tree.legs.items():
-                cid, sid = slot_order[lab - 1]
-                epairs.append((hmap[th], slot_hid[(cid, sid)]))
-        g = StableGraph(vertices, halfedges, epairs, legmap)
-        graphs.append(g)
-        inserted_all.append(frozenset(inserted))
-        choice_list.append(combo)
+                stratum_epairs.append((hmap[th], slot_hid[slot_order[lab - 1]]))
+        graph = StableGraph(stratum_vertices, stratum_halfedges, stratum_epairs, legmap)
+        yield graph, frozenset(inserted), combo
 
+
+def fiber_strata(axis: AxisGraph) -> FiberStrata:
+    """Enumerate the whole fiber: ``iter_fiber_strata`` collected, with the
+    per-point stratum counts and the moduli dimension."""
+    big, menus = _fiber_menus(axis)
+    counts = tuple(
+        (i, p.multiplicity, len(menu)) for (i, p), menu in zip(big, menus)
+    )
+    total = 1
+    for _, _, c in counts:
+        total *= c
+    strata = list(iter_fiber_strata(axis))
     return FiberStrata(
         axis_key=axis.canonical_key(),
         point_counts=counts,
         total=total,
-        moduli_dimension=dim,
-        graphs=tuple(graphs),
-        inserted_vertices=tuple(inserted_all),
-        choices=tuple(choice_list),
+        moduli_dimension=sum(p.multiplicity - 3 for _, p in big),
+        graphs=tuple(g for g, _, _ in strata),
+        inserted_vertices=tuple(ins for _, ins, _ in strata),
+        choices=tuple(c for _, _, c in strata),
     )

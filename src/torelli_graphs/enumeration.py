@@ -101,6 +101,8 @@ def _split_children(raw: Raw) -> Iterator[Raw]:
     for lab, v in legs:
         items_at[v].append(("l", lab, 0))
 
+    w = k  # the new vertex
+    new_branch = branch + (0,)
     for v in range(k):
         items = items_at[v]
         gv = genera[v]
@@ -115,33 +117,33 @@ def _split_children(raw: Raw) -> Iterator[Raw]:
             gsplits = [(gv - g2, g2) for g2 in range(gv + 1) if gv - g2 <= g2]
         subsets = list(subsets)
         for g1, g2 in gsplits:
+            new_genera = list(genera)
+            new_genera[v] = g1
+            new_genera.append(g2)
+            new_genera = tuple(new_genera)
             for moved in subsets:
                 val1 = len(items) - len(moved) + 1
                 val2 = len(moved) + 1
                 if 2 * g1 - 2 + val1 <= 0 or 2 * g2 - 2 + val2 <= 0:
                     continue
-                new_genera = list(genera)
-                new_genera[v] = g1
-                new_genera.append(g2)
-                w = k
-                new_edges = [list(e) for e in edges]
-                new_legs = dict(legs_to_dict(legs))
+                new_edges = list(edges)
+                new_legs = dict(legs)
+                touched = []
                 for kind, a, b in moved:
                     if kind == "e":
-                        new_edges[a][b] = w
+                        x, y = new_edges[a]
+                        new_edges[a] = (w, y) if b == 0 else (x, w)
+                        touched.append(a)
                     else:
                         new_legs[a] = w
-                new_edges.append([v, w])
-                yield (
-                    tuple(new_genera),
-                    tuple(sorted((lab, u) for lab, u in new_legs.items())),
-                    branch + (0,),
-                    tuple(sorted(tuple(sorted(e)) for e in new_edges)),
-                )
-
-
-def legs_to_dict(legs) -> dict:
-    return {lab: v for lab, v in legs}
+                for a in touched:
+                    x, y = new_edges[a]
+                    if x > y:
+                        new_edges[a] = (y, x)
+                new_edges.append((v, w))
+                new_edges.sort()
+                # legs come sorted by label and keep their order in the dict
+                yield (new_genera, tuple(new_legs.items()), new_branch, tuple(new_edges))
 
 
 def enumerate_stable_graphs(
@@ -165,11 +167,13 @@ def enumerate_stable_graphs(
         for raw in frontier:
             if len(raw[3]) >= max_edges:
                 continue
+            last = len(raw[3]) + 1 >= max_edges  # children are not split again
             for child in _split_children(raw):
                 key = raw_canonical_key(child)
                 if key not in seen:
                     seen.add(key)
-                    nxt.append(raw_from_key(key))
+                    if not last:
+                        nxt.append(raw_from_key(key))
         frontier = nxt
     return GraphCatalog.from_keys(genus, markings, seen)
 
@@ -187,6 +191,9 @@ def raw_contract(raw: Raw, edge_indices) -> tuple:
     (loops included) is deleted and bumps the class genus by one, so the
     total genus is preserved.
     """
+    contracted = set(edge_indices)
+    if len(contracted) == 1:
+        return _contract_one(raw, next(iter(contracted)))
     genera, legs, branch, edges = raw
     k = len(genera)
     parent = list(range(k))
@@ -197,7 +204,6 @@ def raw_contract(raw: Raw, edge_indices) -> tuple:
             x = parent[x]
         return x
 
-    contracted = set(edge_indices)
     for idx in contracted:
         u, v = edges[idx]
         ru, rv = find(u), find(v)
@@ -236,6 +242,43 @@ def raw_contract(raw: Raw, edge_indices) -> tuple:
         tuple(sorted(new_edges)),
     )
     return child, tuple(tuple(c) for c in classes)
+
+
+def _contract_one(raw: Raw, idx: int) -> tuple:
+    """``raw_contract`` for a single edge, with the same output."""
+    genera, legs, branch, edges = raw
+    k = len(genera)
+    u, v = edges[idx]
+    new_genera = list(genera)
+    new_branch = list(branch)
+    if u == v:
+        # a loop: deleted, its vertex gains one genus
+        nid = range(k)
+        new_genera[u] += 1
+        classes = tuple((x,) for x in range(k))
+    else:
+        # u joins v's class; survivors keep their order
+        nid = [x if x < u else x - 1 for x in range(k)]
+        nid[u] = nid[v]
+        new_genera[v] += genera[u]
+        new_branch[v] += branch[u]
+        del new_genera[u], new_branch[u]
+        classes = [(x,) for x in range(k) if x != u]
+        classes[nid[v]] = (u, v) if u < v else (v, u)
+        classes = tuple(classes)
+    new_edges = []
+    for j, (a, b) in enumerate(edges):
+        if j != idx:
+            a, b = nid[a], nid[b]
+            new_edges.append((a, b) if a <= b else (b, a))
+    new_edges.sort()
+    child = (
+        tuple(new_genera),
+        tuple(sorted((lab, nid[w]) for lab, w in legs)),
+        tuple(new_branch),
+        tuple(new_edges),
+    )
+    return child, classes
 
 
 def contract_edges(graph: StableGraph, edges) -> StableGraph:

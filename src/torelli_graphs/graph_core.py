@@ -110,21 +110,37 @@ def _certificate(order, static, edges) -> tuple:
     return (vs, tuple(es))
 
 
+class _PairText(dict):
+    """Memo of the key text ``"a-b"`` of an edge between positions a <= b."""
+
+    def __missing__(self, pair):
+        text = self[pair] = f"{pair[0]}-{pair[1]}"
+        return text
+
+
+_EDGE_TEXT = _PairText()
+
+
 def _serialize(order, raw: Raw, tags) -> bytes:
     genera, legs, branch, edges = raw
-    pos = {orig: i for i, orig in enumerate(order)}
     k = len(genera)
-    g_part = ",".join(str(genera[orig]) for orig in order)
-    l_part = ",".join(f"{lab}:{pos[v]}" for lab, v in sorted(legs))
-    b_items = sorted((pos[v], c) for v, c in enumerate(branch) if c)
-    b_part = ",".join(f"{p}:{c}" for p, c in b_items)
-    es = sorted(
-        (pos[u], pos[v]) if pos[u] <= pos[v] else (pos[v], pos[u]) for u, v in edges
+    pos = [0] * k
+    for i, orig in enumerate(order):
+        pos[orig] = i
+    g_part = ",".join([str(genera[orig]) for orig in order])
+    l_part = ",".join([f"{lab}:{pos[v]}" for lab, v in sorted(legs)])
+    b_part = ",".join(
+        [f"{i}:{branch[orig]}" for i, orig in enumerate(order) if branch[orig]]
     )
-    e_part = ",".join(f"{u}-{v}" for u, v in es)
+    es = []
+    for u, v in edges:
+        a, b = pos[u], pos[v]
+        es.append((a, b) if a <= b else (b, a))
+    es.sort()
+    e_part = ",".join(map(_EDGE_TEXT.__getitem__, es))
     s = f"TG1;k={k};g={g_part};l={l_part};b={b_part};e={e_part}"
     if tags is not None:
-        t_part = ",".join(f"{pos[v]}:{tags[v]}" for v in sorted(range(k), key=pos.get))
+        t_part = ",".join([f"{i}:{tags[orig]}" for i, orig in enumerate(order)])
         s += f";t={t_part}"
     return s.encode("ascii")
 
@@ -142,38 +158,38 @@ def canonicalize_raw(raw: Raw, tags=None) -> CanonResult:
     """
     genera, legs, branch, edges = raw
     k = len(genera)
-    legs_at = [() for _ in range(k)]
+    legs_at = [()] * k
     for lab, v in legs:
         legs_at[v] += (lab,)
     loops = [0] * k
     for u, v in edges:
         if u == v:
             loops[u] += 1
-    if tags is None:
-        static = tuple(
-            (0, genera[i], tuple(sorted(legs_at[i])), branch[i]) for i in range(k)
+    base_keys = [
+        (
+            (
+                0 if tags is None else tags[i],
+                genera[i],
+                legs_at[i] if len(legs_at[i]) < 2 else tuple(sorted(legs_at[i])),
+                branch[i],
+            ),
+            loops[i],
         )
-    else:
-        static = tuple(
-            (tags[i], genera[i], tuple(sorted(legs_at[i])), branch[i])
-            for i in range(k)
-        )
+        for i in range(k)
+    ]
+    if len(set(base_keys)) == k:
+        # the vertex decorations alone tell every vertex apart; ranking by
+        # them is what refinement would return
+        order = tuple(sorted(range(k), key=base_keys.__getitem__))
+        return _discrete_result(order, raw, tags)
+    static = tuple(bk[0] for bk in base_keys)
     adj = _adjacency(k, edges)
-    base = _compress([(static[i], loops[i]) for i in range(k)])
-    colors = _refine(k, base, adj)
+    colors = _refine(k, _compress(base_keys), adj)
 
     if len(set(colors)) == k:
         # discrete refinement pins every vertex: trivial vertex symmetries
         order = tuple(sorted(range(k), key=colors.__getitem__))
-        kernel = _kernel_order(edges, branch)
-        return CanonResult(
-            key=_serialize(order, raw, tags),
-            order=order,
-            vertex_aut_order=1,
-            halfedge_aut_order=kernel,
-            vertex_orbits=tuple(frozenset((v,)) for v in range(k)),
-            vertex_generators=(),
-        )
+        return _discrete_result(order, raw, tags)
 
     leaves: list = []
 
@@ -239,17 +255,55 @@ def canonicalize_raw(raw: Raw, tags=None) -> CanonResult:
     )
 
 
+def _discrete_result(order, raw: Raw, tags) -> CanonResult:
+    """Result for a labelling pinned by refinement: no vertex symmetries."""
+    k = len(order)
+    orbits = _SINGLETON_ORBITS.get(k)
+    if orbits is None:
+        orbits = _SINGLETON_ORBITS[k] = tuple(frozenset((v,)) for v in range(k))
+    return CanonResult(
+        key=_serialize(order, raw, tags),
+        order=order,
+        vertex_aut_order=1,
+        halfedge_aut_order=_kernel_order(raw[3], raw[2]),
+        vertex_orbits=orbits,
+        vertex_generators=(),
+    )
+
+
+_SINGLETON_ORBITS: dict = {}
+
+
 def _kernel_order(edges, branch) -> int:
     """Halfedge automorphisms fixing every vertex: parallel-edge permutations,
     loop permutations and flips, branch-point permutations."""
     kernel = 1
-    for (u, v), m in Counter(edges).items():
-        kernel *= factorial(m)
-        if u == v:
-            kernel *= 1 << m
+    if len(set(edges)) == len(edges):
+        for u, v in edges:
+            if u == v:
+                kernel <<= 1
+    else:
+        for (u, v), m in Counter(edges).items():
+            kernel *= factorial(m)
+            if u == v:
+                kernel *= 1 << m
     for c in branch:
-        kernel *= factorial(c)
+        if c > 1:
+            kernel *= factorial(c)
     return kernel
+
+
+class _NumberText(dict):
+    """Memo of ``int`` on the short digit strings of keys."""
+
+    def __missing__(self, text):
+        value = int(text)
+        if len(text) < 4:
+            self[text] = value
+        return value
+
+
+_NUMBER = _NumberText()
 
 
 def raw_from_key(key: bytes) -> Raw:
@@ -258,21 +312,26 @@ def raw_from_key(key: bytes) -> Raw:
     parts = text.split(";")
     if parts[0] != "TG1":
         raise StructuralError(f"not a graph key: {text[:40]!r}")
-    fields = dict(p.split("=", 1) for p in parts[1:])
-    k = int(fields["k"])
-    genera = tuple(int(x) for x in fields["g"].split(",")) if fields["g"] else ()
+    fields = dict([p.split("=", 1) for p in parts[1:]])
+    num = _NUMBER.__getitem__
+    k = num(fields["k"])
+    genera = tuple(map(num, fields["g"].split(","))) if fields["g"] else ()
     legs = tuple(
-        (int(a), int(b))
-        for a, b in (item.split(":") for item in fields["l"].split(",") if item)
+        [
+            (num(a), num(b))
+            for a, b in [item.split(":") for item in fields["l"].split(",") if item]
+        ]
     )
     branch = [0] * k
     for item in fields["b"].split(","):
         if item:
             p, c = item.split(":")
-            branch[int(p)] = int(c)
+            branch[num(p)] = num(c)
     edges = tuple(
-        (int(u), int(v))
-        for u, v in (item.split("-") for item in fields["e"].split(",") if item)
+        [
+            (num(u), num(v))
+            for u, v in [item.split("-") for item in fields["e"].split(",") if item]
+        ]
     )
     return (genera, legs, tuple(branch), edges)
 
@@ -414,13 +473,7 @@ class StableGraph:
         for h in sorted(hvertex):
             h_at[hvertex[h]].append(h)
         self._h_at = {v: tuple(hs) for v, hs in h_at.items()}
-        seen = set()
-        es = []
-        for h, m in mate.items():
-            if h not in seen:
-                seen.add(h)
-                seen.add(m)
-                es.append((h, m) if h < m else (m, h))
+        es = [(h, m) for h, m in mate.items() if h < m]
         es.sort()
         self._edges = tuple(es)
         legged = set(legmap.values())
@@ -428,10 +481,21 @@ class StableGraph:
             h for h in hvertex if h not in mate and h not in legged
         )
         self._canon = None
-        idx = {v: i for i, v in enumerate(sorted(genus))}
-        raw_edges = [(idx[hvertex[a]], idx[hvertex[b]]) for a, b in es]
-        raw_edges = [(u, v) if u <= v else (v, u) for u, v in raw_edges]
-        if not is_connected_edges(len(genus), raw_edges):
+        adj: dict = {v: [] for v in genus}
+        for a, b in es:
+            u, w = hvertex[a], hvertex[b]
+            if u != w:
+                adj[u].append(w)
+                adj[w].append(u)
+        start = next(iter(genus))
+        reached = {start}
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        if len(reached) != len(genus):
             raise StructuralError("graph is not connected")
 
     # -- builders -----------------------------------------------------------
@@ -685,7 +749,10 @@ class StableGraph:
             vertices = {int(v["id"]): int(v["genus"]) for v in data["vertices"]}
             halfedges = [(int(h["id"]), int(h["vertex"])) for h in data["halfedges"]]
             edges = [(int(a), int(b)) for a, b in data["edges"]]
-            legs = {int(lab): int(h) for lab, h in data.get("legs", {}).items()}
+            legs = data.get("legs", {})
+            if not isinstance(legs, dict):
+                raise StructuralError("bad graph JSON: legs must be an object")
+            legs = {int(lab): int(h) for lab, h in legs.items()}
         except (KeyError, TypeError, ValueError) as exc:
             raise StructuralError(f"bad graph JSON: {exc}") from exc
         return cls(vertices, halfedges, edges, legs)

@@ -11,32 +11,70 @@ these data match under a genus-preserving bijection of normalized vertices
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
 from .graph_core import (
     DomainError,
     StableGraph,
+    bridge_edge_indices,
     canonicalize_raw,
 )
-from .contraction import AxisGraph, classify_axis_points, fiber_strata
+from .contraction import AxisGraph, classify_axis_points, iter_fiber_strata
 
 
 # ---------------------------------------------------------------------------
 # Stabilization and polystable reduction.
 # ---------------------------------------------------------------------------
 
-def _strip_decorations(graph: StableGraph) -> StableGraph:
-    """Drop legs and branch points, keeping vertex and halfedge ids."""
-    if not graph.legs and not graph.branch_points():
-        return graph
-    keep = set(h for e in graph.edges() for h in e)
-    return StableGraph(
-        {v: graph.vertex_genus(v) for v in graph.vertices()},
-        [(h, graph.vertex_of(h)) for h in graph.halfedges() if h in keep],
-        graph.edges(),
-        {},
-    )
+def _stabilized(genus: dict, hvertex: dict, mate: dict) -> StableGraph:
+    """Contract rational tails and bridges of a connected legless graph,
+    given as vertex -> genus, halfedge -> vertex and the halfedge pairing
+    (all three are consumed).
+
+    The smallest contractible vertex goes first.  A genus-zero vertex of
+    valence one merges into its neighbour; valence two fuses the two
+    incident edges (a double edge to one neighbour leaves a loop).  An
+    isolated genus-zero vertex with a single loop, or a single bare
+    genus-zero vertex, is final.  Surviving vertices and halfedges keep
+    their ids.
+    """
+    h_at = {v: set() for v in genus}
+    for h, v in hvertex.items():
+        h_at[v].add(h)
+    # a vertex only becomes contractible when a neighbouring leaf goes, and
+    # is pushed then, so the heap always holds every contractible vertex
+    heap = [v for v, g in genus.items() if not g and len(h_at[v]) <= 2]
+    heapq.heapify(heap)
+    while heap:
+        v = heapq.heappop(heap)
+        hs = h_at.get(v)
+        if hs is None or len(hs) > 2 or len(h_at) == 1:
+            continue
+        if len(hs) == 2:
+            h1, h2 = hs
+            if mate[h1] == h2:
+                continue  # isolated loop: irreducible genus one, final
+            m1, m2 = mate[h1], mate[h2]
+            mate[m1] = m2
+            mate[m2] = m1
+            dead = (h1, h2)
+        else:
+            (h,) = hs
+            m = mate[h]
+            u = hvertex[m]
+            h_at[u].discard(m)
+            if not genus[u] and len(h_at[u]) <= 2:
+                heapq.heappush(heap, u)
+            dead = (h, m)
+        for x in dead:
+            del hvertex[x]
+            del mate[x]
+        del genus[v]
+        del h_at[v]
+    edges = [(h, m) for h, m in mate.items() if h < m]
+    return StableGraph(genus, hvertex, edges, {})
 
 
 def stabilize_component(graph: StableGraph) -> StableGraph:
@@ -50,64 +88,27 @@ def stabilize_component(graph: StableGraph) -> StableGraph:
     """
     if graph.legs or graph.branch_points():
         raise DomainError("stabilization input must carry no legs or branch points")
-    genus = {v: graph.vertex_genus(v) for v in graph.vertices()}
-    hvertex = {h: graph.vertex_of(h) for h in graph.halfedges()}
     mate = {}
     for a, b in graph.edges():
         mate[a] = b
         mate[b] = a
-    h_at = {v: set() for v in genus}
-    for h, v in hvertex.items():
-        h_at[v].add(h)
-
-    def contractible():
-        for v in sorted(genus):
-            if genus[v] or len(h_at[v]) > 2:
-                continue
-            hs = sorted(h_at[v])
-            if len(hs) == 2 and mate[hs[0]] == hs[1]:
-                continue  # isolated loop: irreducible genus one, final
-            if len(h_at) == 1:
-                continue  # single bare genus-zero vertex, final
-            return v, hs
-        return None
-
-    step = contractible()
-    while step is not None:
-        v, hs = step
-        if len(hs) == 1:
-            h = hs[0]
-            m = mate[h]
-            u = hvertex[m]
-            h_at[u].discard(m)
-            for x in (h, m):
-                del hvertex[x]
-                del mate[x]
-            del genus[v]
-            del h_at[v]
-        else:
-            h1, h2 = hs
-            m1, m2 = mate[h1], mate[h2]
-            mate[m1] = m2
-            mate[m2] = m1
-            for x in (h1, h2):
-                del hvertex[x]
-                del mate[x]
-            del genus[v]
-            del h_at[v]
-        step = contractible()
-    edges = []
-    seen = set()
-    for h, m in mate.items():
-        if h not in seen:
-            seen.update((h, m))
-            edges.append((h, m) if h < m else (m, h))
-    return StableGraph(genus, list(hvertex.items()), edges, {})
+    return _stabilized(
+        {v: graph.vertex_genus(v) for v in graph.vertices()},
+        {h: graph.vertex_of(h) for h in graph.halfedges()},
+        mate,
+    )
 
 
 def stabilize(components) -> "PolystableGraph":
     """Stabilize a disjoint union of connected legless graphs."""
     return PolystableGraph(tuple(stabilize_component(c) for c in components))
+
+
+def _moduli_positive(piece: StableGraph) -> bool:
+    """Some vertex has 3g - 3 + valence > 0."""
+    return any(
+        3 * piece.vertex_genus(v) - 3 + piece.valence(v) > 0 for v in piece.vertices()
+    )
 
 
 class PolystableGraph:
@@ -139,36 +140,63 @@ class PolystableGraph:
     def genus(self) -> int:
         return sum(c.genus() for c in self.components)
 
-    def vertex_count(self) -> int:
-        return sum(len(c.vertices()) for c in self.components)
-
     def sorted_components(self) -> tuple:
         return tuple(sorted(self.components, key=lambda c: c.canonical_key()))
 
     def moduli_positive_flags(self) -> tuple:
         """Per component (in sorted order): some vertex has 3g - 3 + valence > 0."""
-        return tuple(
-            any(
-                3 * c.vertex_genus(v) - 3 + c.valence(v) > 0 for v in c.vertices()
-            )
-            for c in self.sorted_components()
-        )
+        return tuple(_moduli_positive(c) for c in self.sorted_components())
 
     def __repr__(self):
         return f"PolystableGraph({[c.genus() for c in self.components]})"
 
 
+def _indexed_edges(graph: StableGraph) -> tuple:
+    """(vertex ids in order, each edge of ``graph.edges()`` as a pair of
+    vertex indices)."""
+    vids = graph.vertices()
+    index = {v: i for i, v in enumerate(vids)}
+    ends = [
+        (index[graph.vertex_of(a)], index[graph.vertex_of(b)]) for a, b in graph.edges()
+    ]
+    return vids, ends
+
+
 def pst(graph: StableGraph) -> PolystableGraph:
     """Forget markings, normalize at all separating edges, stabilize, and
-    drop the genus-zero pieces.  Vertex ids of survivors are preserved."""
-    bare = _strip_decorations(graph)
-    pieces = bare.normalize_at(bare.separating_edges())
-    out = []
-    for piece in pieces:
-        reduced = stabilize_component(_strip_decorations(piece))
-        if reduced.genus() > 0:
-            out.append(reduced)
-    return PolystableGraph(tuple(out))
+    drop the genus-zero pieces.  Vertex and halfedge ids of survivors are
+    preserved; pieces come in the order of their smallest vertex id."""
+    vids, ends = _indexed_edges(graph)
+    bridges = bridge_edge_indices(len(vids), ends)
+    kept = [i for i in range(len(ends)) if i not in bridges]
+    adj = [[] for _ in vids]
+    for i in kept:
+        u, w = ends[i]
+        adj[u].append(w)
+        adj[w].append(u)
+    comp_of = [-1] * len(vids)
+    pieces = []  # (genus, hvertex, mate) per component
+    for start in range(len(vids)):
+        if comp_of[start] < 0:
+            comp_of[start] = len(pieces)
+            comp = [start]
+            for v in comp:
+                for u in adj[v]:
+                    if comp_of[u] < 0:
+                        comp_of[u] = len(pieces)
+                        comp.append(u)
+            pieces.append(({vids[v]: graph.vertex_genus(vids[v]) for v in comp}, {}, {}))
+    edges = graph.edges()
+    for i in kept:
+        (a, b), (u, w) = edges[i], ends[i]
+        _, hvertex, mate = pieces[comp_of[u]]
+        hvertex[a], hvertex[b] = vids[u], vids[w]
+        mate[a], mate[b] = b, a
+    return PolystableGraph(tuple(
+        _stabilized(genus, hvertex, mate)
+        for genus, hvertex, mate in pieces
+        if sum(genus.values()) + len(mate) // 2 - len(genus) + 1 > 0
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -183,41 +211,71 @@ class C1Partition:
     host: StableGraph
     blocks: tuple  # frozensets of edge ids
 
-    def block_of(self, edge) -> frozenset:
-        e = tuple(sorted(edge))
-        for b in self.blocks:
-            if e in b:
-                return b
-        raise KeyError(edge)
+
+def _cycle_labels(k: int, ends) -> list:
+    """Exact cycle-space label of every edge of a connected multigraph on
+    vertices 0..k-1 (Pritchard & Thurimella, with one bit per cycle in
+    place of random bits).
+
+    Each non-tree edge of a spanning tree gets its own bit; a tree edge
+    gets the XOR of the bits of the fundamental cycles through it.  Bridges
+    get 0, and two edges of a bridgeless graph lie in one C1-set exactly
+    when their labels are equal.
+    """
+    adj = [[] for _ in range(k)]
+    for i, (u, w) in enumerate(ends):
+        adj[u].append((w, i))
+        adj[w].append((u, i))
+    parent_edge = [-1] * k
+    seen = [False] * k
+    seen[0] = True
+    order = [0]
+    for v in order:  # breadth first; parents precede children
+        for u, i in adj[v]:
+            if not seen[u]:
+                seen[u] = True
+                parent_edge[u] = i
+                order.append(u)
+    tree = set(parent_edge)
+    labels = [0] * len(ends)
+    acc = [0] * k  # XOR of the bits of non-tree edges at each vertex
+    bit = 1
+    for i, (u, w) in enumerate(ends):
+        if i not in tree:
+            labels[i] = bit
+            acc[u] ^= bit
+            acc[w] ^= bit
+            bit <<= 1
+    for v in reversed(order[1:]):
+        i = parent_edge[v]
+        labels[i] = acc[v]
+        u, w = ends[i]
+        acc[w if u == v else u] ^= acc[v]
+    return labels
+
+
+def _c1_blocks(graph: StableGraph) -> tuple:
+    """(vertex ids, indexed edges, C1 blocks as lists of edge indices)."""
+    vids, ends = _indexed_edges(graph)
+    labels = _cycle_labels(len(vids), ends)
+    if not all(labels):
+        bridge = min(e for e, lab in zip(graph.edges(), labels) if not lab)
+        raise DomainError(
+            f"graph has separating edge {bridge}; C1-sets are undefined"
+        )
+    blocks: dict = {}
+    for i, lab in enumerate(labels):
+        blocks.setdefault(lab, []).append(i)
+    return vids, ends, list(blocks.values())
 
 
 def c1_sets(graph: StableGraph) -> C1Partition:
     """Compute the C1 partition of a connected bridgeless graph."""
-    sep = graph.separating_edges()
-    if sep:
-        raise DomainError(
-            f"graph has separating edge {sorted(sep)[0]}; C1-sets are undefined"
-        )
-    sets = {}
-    for e in graph.edges():
-        pieces = graph.delete_edges([e])
-        inner = frozenset().union(*(p.separating_edges() for p in pieces))
-        sets[e] = inner | {e}
-    blocks = []
-    seen = set()
-    for e in graph.edges():
-        if e in seen:
-            continue
-        block = sets[e]
-        for q in block:
-            if sets[q] != block:
-                raise DomainError(
-                    f"edge sets at {e} and {q} disagree; C1 partition ill-defined"
-                )
-        seen |= block
-        blocks.append(block)
-    blocks.sort(key=lambda b: sorted(b))
-    return C1Partition(graph, tuple(blocks))
+    edges = graph.edges()
+    _, _, blocks = _c1_blocks(graph)
+    sets = [frozenset(edges[i] for i in block) for block in blocks]
+    sets.sort(key=sorted)
+    return C1Partition(graph, tuple(sets))
 
 
 def _block_degrees(graph: StableGraph, block) -> dict:
@@ -232,11 +290,6 @@ def _block_degrees(graph: StableGraph, block) -> dict:
 # ---------------------------------------------------------------------------
 # C1-equivalence and class keys.
 # ---------------------------------------------------------------------------
-
-def _component_c1_data(piece: StableGraph):
-    part = c1_sets(piece)
-    return [( _block_degrees(piece, b), len(b)) for b in part.blocks]
-
 
 def _c1_flat_data(poly: PolystableGraph):
     """Flatten to indexed vertices and blocks.
@@ -328,28 +381,25 @@ def component_class_key(piece: StableGraph) -> bytes:
     """Canonical key of one piece's C1 incidence structure: vertices coloured
     by genus against blocks, with the block's halfedge count at each vertex
     as edge multiplicity."""
-    part = c1_sets(piece)
-    vids = sorted(piece.vertices())
-    vidx = {v: i for i, v in enumerate(vids)}
+    vids, ends, blocks = _c1_blocks(piece)
     k = len(vids)
-    n_blocks = len(part.blocks)
+    n_blocks = len(blocks)
     genera = tuple(piece.vertex_genus(v) for v in vids) + (0,) * n_blocks
-    tags = tuple([0] * k + [1] * n_blocks)
-    edges = []
-    for bi, block in enumerate(part.blocks):
-        deg = _block_degrees(piece, block)
-        for v, d in deg.items():
-            edges.extend([(vidx[v], k + bi)] * d)
-    raw = (genera, (), (0,) * (k + n_blocks), tuple(sorted(edges)))
+    tags = (0,) * k + (1,) * n_blocks
+    edges = sorted(
+        (v, k + bi) for bi, block in enumerate(blocks) for i in block for v in ends[i]
+    )
+    raw = (genera, (), (0,) * (k + n_blocks), tuple(edges))
     return canonicalize_raw(raw, tags=tags).key
 
 
 def polystable_key(poly: PolystableGraph) -> bytes:
     """Class key: equal exactly for C1-equivalent unions with equal flags."""
-    parts = []
-    for piece, flag in zip(poly.sorted_components(), poly.moduli_positive_flags()):
-        parts.append(component_class_key(piece) + (b"|m1" if flag else b"|m0"))
-    return b"TK1;" + b"||".join(sorted(parts))
+    parts = sorted(
+        component_class_key(piece) + (b"|m1" if _moduli_positive(piece) else b"|m0")
+        for piece in poly.components
+    )
+    return b"TK1;" + b"||".join(parts)
 
 
 def torelli_key(graph: StableGraph) -> bytes:
@@ -386,10 +436,12 @@ class FiberVerdict:
 def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     """Decide whether all stable models over an axis graph share one class.
 
-    Every fiber stratum gets its class key; the verdict is constant when the
+    Strata are keyed lazily, in the order of ``fiber_strata``, and the
+    check stops at the first stratum whose class key differs from the
+    first one; its index is the witness.  The verdict is constant when all
     keys agree and no surviving inserted vertex spans positive-dimensional
     moduli (3*0 - 3 + valence > 0).  Any mismatch or such a remnant makes
-    the class vary across the fiber.
+    the class vary across the fiber; a mismatch takes precedence.
     """
     cls = classify_axis_points(axis)
     if not cls.is_axis_like:
@@ -397,26 +449,25 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
                           "points avoiding markings)")
     if axis.genus() < 1:
         raise DomainError("genus-zero axis graphs have no class")
-    strata = fiber_strata(axis)
-    keys = []
+    first = None
     remnant = None
-    for graph, inserted in zip(strata.graphs, strata.inserted_vertices):
+    for i, (graph, inserted, _) in enumerate(iter_fiber_strata(axis)):
         poly = pst(graph)
-        keys.append(polystable_key(poly))
-        if remnant is None:
-            for piece in poly.components:
-                for v in piece.vertices():
-                    if v in inserted and piece.valence(v) > 3:
-                        remnant = (v, piece.valence(v))
-    first = keys[0]
-    for i, key in enumerate(keys):
-        if key != first:
+        key = polystable_key(poly)
+        if first is None:
+            first = key
+        elif key != first:
             return FiberVerdict(
                 "varies",
                 None,
                 "fiber strata have differing class keys",
                 (0, i),
             )
+        if remnant is None:
+            for piece in poly.components:
+                for v in piece.vertices():
+                    if v in inserted and piece.valence(v) > 3:
+                        remnant = (v, piece.valence(v))
     if remnant is not None:
         v, val = remnant
         return FiberVerdict(

@@ -417,3 +417,42 @@ def random_order_stabilize_keys(graph: StableGraph, rng: random.Random):
                 del hvertex[x]
                 del mate[x]
             del genus[v]
+
+
+# ---------------------------------------------------------------------------
+# Fiber constancy, keying every stratum.
+# ---------------------------------------------------------------------------
+
+def exhaustive_fiber_verdict(axis):
+    """Fiber verdict from the class keys of all strata at once: the first
+    stratum whose key differs from stratum 0 wins; failing that, the first
+    stratum (in order) with an inserted vertex of valence > 3 left by
+    ``pst`` gives a moduli remnant."""
+    from torelli_graphs import FiberVerdict, fiber_strata, polystable_key, pst
+
+    strata = fiber_strata(axis)
+    keys = []
+    remnant = None
+    for graph, inserted in zip(strata.graphs, strata.inserted_vertices):
+        poly = pst(graph)
+        keys.append(polystable_key(poly))
+        if remnant is None:
+            for piece in poly.components:
+                for v in piece.vertices():
+                    if v in inserted and piece.valence(v) > 3:
+                        remnant = (v, piece.valence(v))
+    for i, key in enumerate(keys):
+        if key != keys[0]:
+            return FiberVerdict(
+                "varies", None, "fiber strata have differing class keys", (0, i)
+            )
+    if remnant is not None:
+        v, val = remnant
+        return FiberVerdict(
+            "varies",
+            None,
+            f"inserted vertex {v} survives with valence {val}: "
+            f"positive-dimensional moduli remnant",
+            remnant,
+        )
+    return FiberVerdict("constant", keys[0], None, None)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -124,6 +125,17 @@ class TestContractAndFiberCmds:
         axis = AxisGraph.from_json_dict(json.loads(apath.read_text()))
         assert axis.genus() == 3
 
+    def test_contract_legs_not_object_exit_one(self, capsys, tmp_path):
+        g = StableGraph.build({0: 0, 1: 1, 2: 1, 3: 1},
+                              edges=[(0, 1), (0, 2), (0, 3)])
+        data = g.to_json_dict()
+        data["legs"] = []
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(data))
+        code, report, err = run(capsys, "contract", "--graph", str(gpath))
+        assert code == 1 and report is None
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_fiber_counts(self, capsys, prof4):
         code, report, _ = run(capsys, "fiber", "--axis", prof4)
         assert code == 0
@@ -162,6 +174,13 @@ class TestTorelliClassesCmd:
         _, r2, _ = run(capsys, "torelli-classes", "--genus", "2",
                        "--markings", "0", "--jobs", "2")
         assert r1["payload"] == r2["payload"]
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        code, report, _ = run(capsys, "torelli-classes", "--genus", "1",
+                              "--markings", "1", "--jobs", "2")
+        assert code == 0
+        assert report["config"]["jobs"] == 1
 
 
 class TestFiberCheckCmd:

@@ -12,6 +12,7 @@ from torelli_graphs import (
     StructuralError,
     classify_axis_points,
     fiber_strata,
+    iter_fiber_strata,
     leaf_labeled_trees,
     separating_bridge_assignment,
     z_contract,
@@ -187,6 +188,14 @@ class TestFiberStrata:
         )
         fs = fiber_strata(axis)
         assert fs.total == 1 * 4
+        streamed = [
+            (g.canonical_key(), inserted, choice)
+            for g, inserted, choice in iter_fiber_strata(axis)
+        ]
+        assert streamed == [
+            (g.canonical_key(), inserted, choice)
+            for g, inserted, choice in zip(fs.graphs, fs.inserted_vertices, fs.choices)
+        ]
 
     def test_round_trip_to_axis(self, catalog):
         for g in list(catalog(3, 0).graphs()):

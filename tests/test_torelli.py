@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -22,7 +23,12 @@ from torelli_graphs import (
     classify_axis_points,
 )
 
-from _oracles import naive_separating_edges, random_order_stabilize_keys
+from _oracles import (
+    exhaustive_fiber_verdict,
+    naive_separating_edges,
+    random_order_stabilize_keys,
+)
+import torelli_graphs.torelli as torelli_module
 
 
 def r_shape():
@@ -277,6 +283,22 @@ class TestTorelliKey:
             assert len(genera) == 1
 
 
+class TestKeyContract:
+    # sha256 over "graph key<TAB>class key" lines, catalogs in this order and
+    # each in sorted key order; class keys are persisted, so any byte
+    # change to them must show here
+    PINNED = "313e8d4b725a59f02e7eb1477e6d015ba12d58b723c42ddb332fa32b5a00df45"
+
+    def test_class_keys_pinned(self, catalog):
+        lines = []
+        for gn in [(2, 2), (3, 0), (1, 4), (2, 3)]:
+            for key in sorted(catalog(*gn).keys):
+                graph = StableGraph.from_canonical_key(key)
+                lines.append(key.decode() + "\t" + torelli_key(graph).decode())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED
+
+
 class TestFiberConstant:
     def test_separating_four_axis_constant(self):
         axis = AxisGraph(
@@ -340,3 +362,80 @@ class TestFiberConstant:
         )
         verdict = fiber_constant(axis)
         assert verdict.verdict == "varies"
+
+
+def profile_axis(profile, reverse=False):
+    """One singular point of type (0, sum(profile)) over genus-1 components,
+    component c carrying profile[c] slots; ``reverse`` flips the slot order
+    the fiber's trees see."""
+    cids = list(range(len(profile)))
+    if reverse:
+        cids.reverse()
+    slots = [(cid, sid) for cid, count in zip(cids, profile) for sid in range(count)]
+    return AxisGraph([(cid, 1, []) for cid in cids], [SingularPoint(0, tuple(slots))])
+
+
+GENERAL_PROFILES = [
+    (2, 2, 1), (3, 2), (4, 1), (5,),
+    (2, 2, 1, 1), (2, 2, 2), (3, 2, 1), (3, 3), (4, 1, 1), (4, 2), (5, 1), (6,),
+]
+QUASI_SEPARATING_PROFILES = [
+    (1,) * 5, (2, 1, 1, 1), (3, 1, 1),
+    (1,) * 6, (2, 1, 1, 1, 1), (3, 1, 1, 1),
+]
+
+
+def slot_orders(profiles):
+    """(profile, reverse) pairs: both slot orders for 5 slots, one for 6
+    (a 6-slot fiber has 236 strata)."""
+    return [(p, r) for p in profiles for r in (False, True)[: 2 if sum(p) == 5 else 1]]
+
+
+class TestFiberEarlyExit:
+    """The streaming check must give the verdict of keying the whole fiber."""
+
+    def test_matches_exhaustive_on_fiber_constant_axes(self, catalog):
+        axes = [
+            AxisGraph([(i, 1, []) for i in range(4)],
+                      [SingularPoint(0, ((0, 0), (1, 0), (2, 0), (3, 0)))]),
+            AxisGraph([(0, 1, [])],
+                      [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (0, 3)))]),
+            # also the remnant-rule case of TestFiberConstant
+            AxisGraph([(0, 1, []), (1, 1, [])],
+                      [SingularPoint(0, ((0, 0), (0, 1), (1, 0), (1, 1)))]),
+            AxisGraph([(0, 2, []), (1, 1, [])],
+                      [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (1, 0)))]),
+        ]
+        for gn in [(3, 0), (2, 2)]:
+            for g in catalog(*gn).graphs():
+                axes.append(z_contract(g, separating_bridge_assignment(g)))
+        for axis in axes:
+            assert fiber_constant(axis) == exhaustive_fiber_verdict(axis)
+
+    @pytest.mark.parametrize("profile, reverse", slot_orders(GENERAL_PROFILES))
+    def test_matches_exhaustive_on_general_profiles(self, profile, reverse):
+        axis = profile_axis(profile, reverse)
+        verdict = fiber_constant(axis)
+        assert verdict.verdict == "varies"
+        assert verdict == exhaustive_fiber_verdict(axis)
+
+    @pytest.mark.parametrize("profile, reverse", slot_orders(QUASI_SEPARATING_PROFILES))
+    def test_matches_exhaustive_on_quasi_separating_profiles(self, profile, reverse):
+        axis = profile_axis(profile, reverse)
+        verdict = fiber_constant(axis)
+        assert verdict.constant
+        assert verdict == exhaustive_fiber_verdict(axis)
+
+    @pytest.mark.parametrize("profile", [(2, 2, 1), (2, 2, 1, 1), (4, 1, 1)])
+    def test_keys_stop_at_witness(self, profile, monkeypatch):
+        calls = []
+
+        def counting_pst(graph):
+            calls.append(graph)
+            return pst(graph)
+
+        monkeypatch.setattr(torelli_module, "pst", counting_pst)
+        verdict = fiber_constant(profile_axis(profile))
+        _, i = verdict.witness
+        assert verdict.reason == "fiber strata have differing class keys"
+        assert i > 0 and len(calls) == i + 1
