@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .graph_core import (
     DomainError,
     StableGraph,
+    StructuralError,
     bridge_edge_indices,
     canonicalize_raw,
     raw_from_key,
@@ -251,13 +253,16 @@ class ExtremalAssignment:
         labeling = graph.canonical_labeling()
         return frozenset(v for v, pos in labeling.items() if pos in positions)
 
-    def value_mask(self, key: bytes) -> int:
-        """Canonical-position bitmask of the value on a canonical key."""
+    def value_mask(self, key: bytes, raw=None) -> int:
+        """Canonical-position bitmask of the value on a canonical key;
+        ``raw``, when given, is the key already parsed."""
         mask = self._mask_cache.get(key)
         if mask is None:
             if self._rule is not None:
                 if self._rule is separating_bridge_assignment:
-                    mask = _raw_separating_assignment(raw_from_key(key))
+                    mask = _raw_separating_assignment(
+                        raw_from_key(key) if raw is None else raw
+                    )
                 else:
                     graph = StableGraph.from_canonical_key(key)
                     # representative vertex ids are canonical positions
@@ -279,10 +284,46 @@ SEPARATING_BRIDGES = ExtremalAssignment(
 )
 
 
+def _list_of(item: str) -> str:
+    return f"(?:{item}(?:,{item})*)?"
+
+
+# the untagged key grammar, digits only; raw_from_key trusts its input
+_KEY_RE = re.compile(
+    "TG1;k=(?P<k>{n});g=(?P<g>{g});l=(?P<l>{p});b=(?P<b>{p});e=(?P<e>{e})".format(
+        n=r"\d+",
+        g=_list_of(r"\d+"),
+        p=_list_of(r"\d+:\d+"),
+        e=_list_of(r"\d+-\d+"),
+    ),
+    re.ASCII,
+)
+
+
+def _table_key_raw(key_str: str):
+    """Parse an assignment-table key, rejecting what ``raw_from_key`` would
+    misread or fail on."""
+    m = _KEY_RE.fullmatch(key_str)
+    if m is None:
+        raise StructuralError(f"entry {key_str!r}: not a graph key")
+    k = int(m["k"])
+    n_genera = len(m["g"].split(",")) if m["g"] else 0
+    if n_genera != k:
+        raise StructuralError(f"entry {key_str}: k={k} but {n_genera} genera")
+    ends = re.findall(r":(\d+)", m["l"]) + re.findall(r"(\d+):", m["b"])
+    ends += re.findall(r"\d+", m["e"])
+    if any(int(v) >= k for v in ends):
+        raise StructuralError(f"entry {key_str}: vertex outside range({k})")
+    return raw_from_key(key_str.encode("ascii"))
+
+
 def load_assignment_table(data: dict, catalog: GraphCatalog) -> ExtremalAssignment:
     """Build an extensional assignment from parsed JSON, closing each entry
-    under the automorphism orbits of its graph.  Raises CoverageError when
-    catalog entries are missing."""
+    under the automorphism orbits of its graph.  Malformed documents raise
+    StructuralError or DomainError; missing catalog entries raise
+    CoverageError."""
+    if not isinstance(data, dict):
+        raise DomainError("assignment JSON must be an object")
     if data.get("schema") not in (None, SCHEMA):
         raise DomainError(f"unsupported schema {data.get('schema')!r}")
     entries = data.get("entries")
@@ -290,18 +331,19 @@ def load_assignment_table(data: dict, catalog: GraphCatalog) -> ExtremalAssignme
         raise DomainError("assignment JSON needs an 'entries' object")
     table: dict = {}
     for key_str, positions in entries.items():
-        key = key_str.encode("ascii")
-        raw = raw_from_key(key)
-        res = canonicalize_raw(raw)
-        chosen = set(int(p) for p in positions)
-        k = len(raw[0])
-        if not chosen <= set(range(k)):
+        raw = _table_key_raw(key_str)
+        if not isinstance(positions, list) or not all(
+            type(p) is int for p in positions
+        ):
+            raise DomainError(f"entry {key_str}: positions must be a list of integers")
+        chosen = set(positions)
+        if not chosen <= set(range(len(raw[0]))):
             raise DomainError(f"entry {key_str}: vertex position out of range")
         closed = set()
-        for orbit in res.vertex_orbits:
+        for orbit in canonicalize_raw(raw).vertex_orbits:
             if orbit & chosen:
                 closed |= orbit
-        table[key] = frozenset(closed)
+        table[key_str.encode("ascii")] = frozenset(closed)
     missing = [k for k in catalog.keys if k not in table]
     if missing:
         raise CoverageError(
@@ -381,7 +423,7 @@ def verify_extremal(
     for key in catalog.keys:
         raw = raw_from_key(key)
         k = len(raw[0])
-        mask = assignment.value_mask(key)
+        mask = assignment.value_mask(key, raw)
         full = (1 << k) - 1
         if mask == full:
             report.axiom1_violations.append((key.decode(), "value is not proper"))

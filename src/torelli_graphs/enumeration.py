@@ -20,7 +20,6 @@ from .graph_core import (
     Raw,
     StableGraph,
     canonicalize_raw,
-    is_connected_edges,
     raw_canonical_key,
     raw_from_key,
 )
@@ -304,9 +303,7 @@ def contract_edges(graph: StableGraph, edges) -> StableGraph:
         u, v = idx_of[graph.vertex_of(h1)], idx_of[graph.vertex_of(h2)]
         pair = (u, v) if u <= v else (v, u)
         indices.append(pair_pool[pair].pop())
-    child, classes = raw_contract(raw, indices)
-    out = StableGraph.from_raw(child)
-    return out
+    return StableGraph.from_raw(raw_contract(raw, indices)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,40 +337,97 @@ def iter_degenerations(
     """Contraction records for the catalog.
 
     ``subsets="all"`` walks every edge subset of every graph, including the
-    empty one (the identity degeneration).  ``subsets="single"`` walks only
-    one-edge contractions; every multi-edge contraction factors through
-    those, which is enough for closure checks.
+    empty one (the identity degeneration), by size and in
+    ``itertools.combinations`` order within a size.  The record of
+    S = S' + (last,) is composed from the record of S' and one contraction
+    of its source along the image of edge ``last``; those one-edge steps are
+    memoized per source and position pair.  When the new source is rigid
+    its vertex map is unique, so the composed record equals the direct one;
+    otherwise the record is contracted from the target directly, so the
+    witness among automorphic vertex maps does not depend on the walk.
+    ``subsets="single"`` walks only one-edge
+    contractions; every multi-edge contraction factors through those, which
+    is enough for closure checks.
     """
     if subsets not in ("all", "single"):
         raise ValueError("subsets must be 'all' or 'single'")
-    for target_key in catalog.keys:
+    keys = catalog.keys
+    index = catalog.index
+
+    def contract(raw, chosen):
+        """Catalog index of ``raw`` contracted along ``chosen``, the vertex
+        map onto that entry, and whether the entry is rigid."""
+        child, classes = raw_contract(raw, chosen)
+        res = canonicalize_raw(child)
+        i = index.get(res.key)
+        if i is None:
+            raise DomainError("contraction left the catalog; it is incomplete")
+        vmap = tuple(
+            (pos, frozenset(classes[orig])) for pos, orig in enumerate(res.order)
+        )
+        return i, vmap, res.vertex_aut_order == 1
+
+    def position_of(vmap, k):
+        where = [0] * k
+        for pos, merged in vmap:
+            for v in merged:
+                where[v] = pos
+        return where
+
+    if subsets == "single":
+        for target_key in keys:
+            raw = raw_from_key(target_key)
+            edges = raw[3]
+            for e in range(len(edges)):
+                # a parallel copy contracts to the same graph and classes
+                if not e or edges[e] != edges[e - 1]:
+                    i, vmap, _ = contract(raw, (e,))
+                yield Degeneration(keys[i], target_key, frozenset((e,)), vmap)
+        return
+
+    # (source index, x, y) -> (index of the source contracted along an edge
+    # x <= y, new position of each position, its vertex count, rigid)
+    steps: dict = {}
+    for target_key in keys:
         raw = raw_from_key(target_key)
-        n_edges = len(raw[3])
-        if subsets == "all":
-            pools = itertools.chain.from_iterable(
-                itertools.combinations(range(n_edges), r)
-                for r in range(n_edges + 1)
-            )
-        else:
-            pools = ((i,) for i in range(n_edges))
-        for chosen in pools:
-            child, classes = raw_contract(raw, chosen)
-            res = canonicalize_raw(child)
-            source_key = res.key
-            if source_key not in catalog.index:
-                raise DomainError(
-                    "contraction left the catalog; it is incomplete"
-                )
-            vmap = tuple(
-                (pos, frozenset(classes[orig]))
-                for pos, orig in enumerate(res.order)
-            )
-            yield Degeneration(
-                source=source_key,
-                target=target_key,
-                contracted_indices=frozenset(chosen),
-                vertex_map=vmap,
-            )
+        edges = raw[3]
+        n_edges = len(edges)
+        k = len(raw[0])
+        i, vmap, _ = contract(raw, ())
+        yield Degeneration(keys[i], target_key, frozenset(), vmap)
+        # edge subset -> (source index, source position of each target vertex)
+        level = {(): (i, position_of(vmap, k))}
+        for r in range(1, n_edges + 1):
+            below = level
+            level = {}
+            for chosen in itertools.combinations(range(n_edges), r):
+                i0, where0 = below[chosen[:-1]]
+                a, b = edges[chosen[-1]]
+                x, y = where0[a], where0[b]
+                step_key = (i0, x, y) if x <= y else (i0, y, x)
+                step = steps.get(step_key)
+                if step is None:
+                    kraw = raw_from_key(keys[i0])
+                    j = kraw[3].index(step_key[1:])
+                    i1, kmap, rigid = contract(kraw, (j,))
+                    step = steps[step_key] = (
+                        i1, position_of(kmap, len(kraw[0])), len(kmap), rigid,
+                    )
+                i1, image, k1, rigid = step
+                if rigid:
+                    where = [image[p] for p in where0]
+                    members = [[] for _ in range(k1)]
+                    for v, p in enumerate(where):
+                        members[p].append(v)
+                    vmap = tuple(
+                        (pos, frozenset(m)) for pos, m in enumerate(members)
+                    )
+                else:
+                    _, vmap, _ = contract(raw, chosen)
+                    where = position_of(vmap, k)
+                if r < n_edges:
+                    level[chosen] = (i1, where)
+                yield Degeneration(keys[i1], target_key, frozenset(chosen), vmap)
 
 
 def degenerations_between(catalog: GraphCatalog) -> list:

@@ -13,8 +13,9 @@ import random
 from functools import lru_cache
 from math import factorial
 
-from torelli_graphs import StableGraph
-from torelli_graphs.enumeration import check_type
+from torelli_graphs import Degeneration, DomainError, StableGraph
+from torelli_graphs.enumeration import check_type, raw_contract
+from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +457,34 @@ def exhaustive_fiber_verdict(axis):
             remnant,
         )
     return FiberVerdict("constant", keys[0], None, None)
+
+
+# ---------------------------------------------------------------------------
+# Degenerations, each contracted from its target directly.
+# ---------------------------------------------------------------------------
+
+def direct_degenerations(catalog, subsets: str = "all") -> list:
+    """Every degeneration record, each contracted and canonicalized from
+    its target on its own: every edge subset (by size, then in
+    ``itertools.combinations`` order) or every single edge."""
+    records = []
+    for target_key in catalog.keys:
+        raw = raw_from_key(target_key)
+        n_edges = len(raw[3])
+        if subsets == "all":
+            pools = [
+                c for r in range(n_edges + 1)
+                for c in itertools.combinations(range(n_edges), r)
+            ]
+        else:
+            pools = [(i,) for i in range(n_edges)]
+        for chosen in pools:
+            child, classes = raw_contract(raw, chosen)
+            res = canonicalize_raw(child)
+            if res.key not in catalog.index:
+                raise DomainError("contraction left the catalog; it is incomplete")
+            vmap = tuple(
+                (pos, frozenset(classes[orig])) for pos, orig in enumerate(res.order)
+            )
+            records.append(Degeneration(res.key, target_key, frozenset(chosen), vmap))
+    return records

@@ -107,6 +107,40 @@ class TestVerifyAssignmentCmd:
         assert code == 2
         assert report["payload"]["axiom2_violations"]
 
+    @pytest.mark.parametrize("key, positions", [
+        # a leg, a branch point or an edge endpoint outside range(k)
+        ("TG1;k=1;g=0;l=1:0,2:0,3:0,4:3;b=;e=", []),
+        ("TG1;k=1;g=0;l=1:0,2:0,3:0,4:0;b=2:1;e=", []),
+        ("TG1;k=1;g=0;l=1:0,2:0,3:0,4:0;b=;e=0-5", []),
+        # k disagrees with the genera
+        ("TG1;k=3;g=0;l=;b=;e=0-5", []),
+        # a genus that is not a number
+        ("TG1;k=1;g=x;l=;b=;e=", []),
+        # a branch point at a negative position
+        ("TG1;k=2;g=0,0;l=;b=-1:1;e=0-1", []),
+        # a position that is not an integer
+        ("TG1;k=1;g=0;l=1:0,2:0,3:0,4:0;b=;e=", [0.5]),
+        # a top-level array instead of an object
+        (None, None),
+    ], ids=["leg", "branch-point", "edge-endpoint", "k-vs-genera", "genus-text",
+            "negative-branch", "float-position", "array-document"])
+    def test_malformed_table_exit_one(self, capsys, tmp_path, key, positions):
+        # every catalog entry is covered, so only the malformed one can fail
+        entries = {k.decode(): [] for k in load_or_enumerate(0, 4).keys}
+        doc = {"entries": entries}
+        if key is None:
+            doc = [doc]
+        else:
+            entries[key] = positions
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        code, report, err = run(
+            capsys, "verify-assignment", "--genus", "0", "--markings", "4",
+            "--assignment", str(path),
+        )
+        assert code == 1 and report is None
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
 
 class TestContractAndFiberCmds:
     def test_contract_writes_axis(self, capsys, tmp_path):

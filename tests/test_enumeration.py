@@ -1,18 +1,26 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from torelli_graphs import (
     BoundExceededError,
     DomainError,
+    GraphCatalog,
     StableGraph,
     contract_edges,
     degenerations_between,
     enumerate_stable_graphs,
     iter_degenerations,
 )
+from torelli_graphs import enumeration
 
-from _oracles import brute_force_catalog_keys, leg_insertion_catalog_keys
+from _oracles import (
+    brute_force_catalog_keys,
+    direct_degenerations,
+    leg_insertion_catalog_keys,
+)
 
 
 class TestCatalogAnchors:
@@ -173,3 +181,73 @@ class TestDegenerations:
         }
         assert single <= all_recs
         assert all(len(s) == 1 for _, _, s in single)
+
+
+def record_line(d) -> str:
+    vmap = ";".join(f"{v}:" + ",".join(map(str, sorted(m))) for v, m in d.vertex_map)
+    contracted = ",".join(map(str, sorted(d.contracted_indices)))
+    return f"{d.target.decode()}\t{contracted}\t{d.source.decode()}\t{vmap}"
+
+
+class TestComposedDegenerations:
+    # sha256 over record_line of every all-mode record, catalogs in this
+    # order and records in walk order, computed when every record was still
+    # contracted and canonicalized directly from its target
+    PINNED = "369e0de9d920e000737c1c164018cb91da30f78d0b805c69d372e3b08f8e3e3e"
+
+    def test_all_mode_records_pinned(self, catalog):
+        lines = [
+            record_line(d)
+            for gn in [(2, 2), (3, 0), (1, 4)]
+            for d in iter_degenerations(catalog(*gn), subsets="all")
+        ]
+        assert len(lines) == 3171
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED
+
+    def test_records_equal_direct_contraction(self, catalog, monkeypatch):
+        types = [(2, 2), (3, 0), (3, 1), (1, 4), (2, 3)]
+        expected = {
+            (gn, mode): direct_degenerations(catalog(*gn), mode)
+            for gn in types
+            for mode in ("all", "single")
+        }
+        calls = Counter()  # by the mode being walked
+        raw_contract = enumeration.raw_contract
+
+        def counted(raw, chosen):
+            calls[mode, len(chosen) > 1] += 1
+            return raw_contract(raw, chosen)
+
+        monkeypatch.setattr(enumeration, "raw_contract", counted)
+        for (gn, mode), records in expected.items():
+            assert list(iter_degenerations(catalog(*gn), mode)) == records
+            calls[mode, "records"] += len(records)
+        # all mode: a symmetric new source is contracted from its target
+        assert calls["all", True] >= 1
+        # single mode: a parallel copy reuses the previous record
+        assert calls["single", False] < calls["single", "records"]
+
+    def test_incomplete_catalog_rejected(self, catalog):
+        full = catalog(2, 2)
+        records = direct_degenerations(full, "all")
+        first = {}
+        for n, d in enumerate(records):
+            if d.source != d.target:
+                first.setdefault(d.source, n)
+        # a key the walk first reaches by contracting two or more edges
+        dropped, at = next(
+            (key, n) for key, n in first.items()
+            if len(records[n].contracted_indices) >= 2
+        )
+        partial = GraphCatalog.from_keys(
+            2, 2, [k for k in full.keys if k != dropped]
+        )
+        walked = []
+        with pytest.raises(DomainError, match="left the catalog"):
+            for d in iter_degenerations(partial, subsets="all"):
+                walked.append(d)
+        assert walked == [d for d in records[:at] if d.target != dropped]
+        with pytest.raises(DomainError, match="left the catalog"):
+            for _ in iter_degenerations(partial, subsets="single"):
+                pass
