@@ -57,7 +57,7 @@ class CanonResult:
     vertex_aut_order: int
     halfedge_aut_order: int
     vertex_orbits: tuple  # tuple of frozensets of original indices
-    vertex_generators: tuple  # permutations as tuples, perm[i] = image of i
+    vertex_generators: tuple  # generators of the vertex group, perm[i] = image of i
 
     @property
     def labeling(self) -> dict:
@@ -152,9 +152,17 @@ def raw_canonical_key(raw: Raw, tags=None) -> bytes:
 def canonicalize_raw(raw: Raw, tags=None) -> CanonResult:
     """Canonical labelling by colour refinement plus backtracking.
 
-    Branches over the smallest non-singleton colour class; all branches are
-    explored, so the minimal certificate is isomorphism-invariant and the
-    labellings achieving it form a coset of the vertex automorphism group.
+    Branches over the smallest non-singleton colour class, in vertex order,
+    and keeps the first leaf in depth-first order with the least
+    certificate, which is isomorphism-invariant.  Two leaves with one
+    certificate give a vertex automorphism (McKay 1981; McKay & Piperno
+    2014).  A child in the orbit of an explored sibling under the
+    automorphisms found that fix the node's individualized vertices is
+    skipped, and a leaf that matches the first leaf abandons the rest of
+    its subtree up to the first-path node it hangs from: both subtrees are
+    images of explored ones, so they hold no earlier least leaf.  The group
+    order is the product, along the first path, of the orbit size of each
+    individualized vertex under the automorphisms fixing those before it.
     """
     genera, legs, branch, edges = raw
     k = len(genera)
@@ -191,87 +199,141 @@ def canonicalize_raw(raw: Raw, tags=None) -> CanonResult:
         order = tuple(sorted(range(k), key=colors.__getitem__))
         return _discrete_result(order, raw, tags)
 
-    leaves: list = []
+    first_order = first_cert = best_order = best_cert = first_path = None
+    gens: list = []  # perm[i] = image of i
+    prefix: list = []  # individualized vertices from the root to the node
 
-    def descend(color_ids):
+    def descend(color_ids, home):
+        """Search below the node that ``prefix`` leads to; ``home`` is the
+        depth of its deepest ancestor on the first path.  Returns the depth
+        to jump back to, or None."""
+        nonlocal first_order, first_cert, best_order, best_cert, first_path
+        if len(set(color_ids)) == k:
+            order = tuple(sorted(range(k), key=color_ids.__getitem__))
+            cert = _certificate(order, static, edges)
+            if first_order is None:
+                first_order = best_order = order
+                first_cert = best_cert = cert
+                first_path = tuple(prefix)
+                return None
+            if cert == first_cert:
+                other = first_order
+            elif cert == best_cert:
+                other = best_order
+            else:
+                if cert < best_cert:
+                    best_order, best_cert = order, cert
+                return None
+            perm = [0] * k
+            for a, b in zip(other, order):
+                perm[a] = b
+            gens.append(tuple(perm))
+            return home if other is first_order else None
         classes: dict = {}
         for v, c in enumerate(color_ids):
             classes.setdefault(c, []).append(v)
-        big = [(len(vs), c, vs) for c, vs in classes.items() if len(vs) > 1]
-        if not big:
-            order = tuple(sorted(range(k), key=color_ids.__getitem__))
-            leaves.append(order)
-            return
-        _, _, target = min(big, key=lambda t: (t[0], t[1]))
+        # smallest cell, then smallest colour (never a tie, so the vertex
+        # lists are not compared)
+        _, cell, target = min(
+            (len(vs), c, vs) for c, vs in classes.items() if len(vs) > 1
+        )
+        depth = len(prefix)
+        if first_order is None:
+            home = depth
+        explored: list = []
+        fixing: list = []  # generators found that fix every vertex of prefix
+        seen = 0
+        reps = None  # orbit representatives under fixing
         for v in target:
-            split = [(c, 1 if u == v else 0) for u, c in enumerate(color_ids)]
-            descend(_refine(k, _compress(split), adj))
+            if explored:
+                if len(gens) > seen:
+                    new = [g for g in gens[seen:] if all(g[p] == p for p in prefix)]
+                    seen = len(gens)
+                    if new:
+                        fixing += new
+                        reps = _orbit_reps(k, fixing)
+                if reps is not None and any(reps[u] == reps[v] for u in explored):
+                    continue
+            explored.append(v)
+            # v alone takes the colour just above the rest of its cell
+            split = [c + 1 if c > cell else c for c in color_ids]
+            split[v] += 1
+            prefix.append(v)
+            jump = descend(_refine(k, split, adj), home)
+            prefix.pop()
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    descend(colors)
+    descend(colors, 0)
+    # the recursive closure refers to itself; breaking that cycle frees
+    # the search data now instead of at the next garbage collection
+    del descend
 
-    best = None
-    achievers = []
-    for order in leaves:
-        cert = _certificate(order, static, edges)
-        if best is None or cert < best:
-            best = cert
-            achievers = [order]
-        elif cert == best:
-            achievers.append(order)
-
-    canonical_order = achievers[0]
-    # automorphisms: pair each achiever with the first one
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    gens = []
-    for other in achievers[1:]:
-        perm = [0] * k
-        for p in range(k):
-            perm[canonical_order[p]] = other[p]
-        gens.append(tuple(perm))
-        for a, b in zip(canonical_order, other):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    orbit_map: dict = {}
-    for v in range(k):
-        orbit_map.setdefault(find(v), []).append(v)
-    orbits = tuple(frozenset(vs) for vs in orbit_map.values())
-
-    kernel = _kernel_order(edges, branch)
+    aut_order = 1
+    orbits = None
+    fixing = gens
+    for i, v in enumerate(first_path):
+        if i:
+            w = first_path[i - 1]
+            fixing = [g for g in fixing if g[w] == w]
+        if not fixing:
+            break
+        reps = _orbit_reps(k, fixing)
+        aut_order *= reps.count(reps[v])
+        if orbits is None:
+            groups: dict = {}
+            for u, r in enumerate(reps):
+                groups.setdefault(r, []).append(u)
+            orbits = tuple(frozenset(vs) for vs in groups.values())
     return CanonResult(
-        key=_serialize(canonical_order, raw, tags),
-        order=canonical_order,
-        vertex_aut_order=len(achievers),
-        halfedge_aut_order=len(achievers) * kernel,
-        vertex_orbits=orbits,
+        key=_serialize(best_order, raw, tags),
+        order=best_order,
+        vertex_aut_order=aut_order,
+        halfedge_aut_order=aut_order * _kernel_order(edges, branch),
+        vertex_orbits=orbits or _singleton_orbits(k),
         vertex_generators=tuple(gens),
     )
 
 
+def _orbit_reps(k: int, perms) -> list:
+    """The smallest vertex of each vertex's orbit under the group the
+    permutations generate."""
+    rep = [-1] * k
+    for v in range(k):
+        if rep[v] < 0:
+            rep[v] = v
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for perm in perms:
+                    w = perm[u]
+                    if rep[w] < 0:
+                        rep[w] = v
+                        stack.append(w)
+    return rep
+
+
 def _discrete_result(order, raw: Raw, tags) -> CanonResult:
     """Result for a labelling pinned by refinement: no vertex symmetries."""
-    k = len(order)
-    orbits = _SINGLETON_ORBITS.get(k)
-    if orbits is None:
-        orbits = _SINGLETON_ORBITS[k] = tuple(frozenset((v,)) for v in range(k))
     return CanonResult(
         key=_serialize(order, raw, tags),
         order=order,
         vertex_aut_order=1,
         halfedge_aut_order=_kernel_order(raw[3], raw[2]),
-        vertex_orbits=orbits,
+        vertex_orbits=_singleton_orbits(len(order)),
         vertex_generators=(),
     )
 
 
 _SINGLETON_ORBITS: dict = {}
+
+
+def _singleton_orbits(k: int) -> tuple:
+    orbits = _SINGLETON_ORBITS.get(k)
+    if orbits is None:
+        orbits = _SINGLETON_ORBITS[k] = tuple(frozenset((v,)) for v in range(k))
+    return orbits
 
 
 def _kernel_order(edges, branch) -> int:

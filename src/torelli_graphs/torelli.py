@@ -120,11 +120,22 @@ class PolystableGraph:
 
     def __init__(self, components):
         comps = tuple(components)
+        if any(c.separating_edges() for c in comps):
+            raise DomainError("polystable pieces have no separating edges")
+        self._set_components(comps)
+
+    @classmethod
+    def _from_bridgeless(cls, comps: tuple) -> "PolystableGraph":
+        """For pieces that ``pst`` has just built bridgeless: every check
+        but the bridge search."""
+        poly = cls.__new__(cls)
+        poly._set_components(comps)
+        return poly
+
+    def _set_components(self, comps: tuple) -> None:
         for c in comps:
             if c.legs or c.branch_points():
                 raise DomainError("polystable pieces carry no legs or branch points")
-            if c.separating_edges():
-                raise DomainError("polystable pieces have no separating edges")
             g = c.genus()
             if g >= 2:
                 if not c.is_stable():
@@ -192,7 +203,7 @@ def pst(graph: StableGraph) -> PolystableGraph:
         _, hvertex, mate = pieces[comp_of[u]]
         hvertex[a], hvertex[b] = vids[u], vids[w]
         mate[a], mate[b] = b, a
-    return PolystableGraph(tuple(
+    return PolystableGraph._from_bridgeless(tuple(
         _stabilized(genus, hvertex, mate)
         for genus, hvertex, mate in pieces
         if sum(genus.values()) + len(mate) // 2 - len(genus) + 1 > 0

@@ -145,6 +145,27 @@ def brute_force_halfedge_aut_order(graph: StableGraph) -> int:
     return count
 
 
+def brute_force_vertex_automorphisms(raw, tags=None) -> list:
+    """Every vertex permutation of a raw graph (perm[i] = image of i) that
+    keeps genera, leg labels, branch counts, tags and the edge multiset.
+    Tries all k! permutations, so only for a few vertices."""
+    genera, legs, branch, edges = raw
+    k = len(genera)
+    legs_at = [sorted(lab for lab, v in legs if v == i) for i in range(k)]
+    data = [
+        (genera[i], legs_at[i], branch[i], None if tags is None else tags[i])
+        for i in range(k)
+    ]
+    multiset = sorted(tuple(sorted(e)) for e in edges)
+    out = []
+    for perm in itertools.permutations(range(k)):
+        if any(data[perm[i]] != data[i] for i in range(k)):
+            continue
+        if sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges) == multiset:
+            out.append(perm)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Brute-force catalog generation (small types only).
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from torelli_graphs import StableGraph, StructuralError, DomainError
+from torelli_graphs import StableGraph, StructuralError, DomainError, torelli_key
+from torelli_graphs import torelli as torelli_module
+from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
 from _oracles import (
     brute_force_halfedge_aut_order,
     brute_force_isomorphic,
+    brute_force_vertex_automorphisms,
     naive_separating_edges,
 )
 
@@ -152,6 +155,86 @@ class TestAutomorphisms:
                 for v in g.vertices():
                     assert g.vertex_genus(perm[v]) == g.vertex_genus(v)
                     assert g.legs_at(perm[v]) == g.legs_at(v)
+
+
+def relabeled_raw(raw, tags, rng):
+    """The same raw graph (and tags) under a random vertex renaming."""
+    genera, legs, branch, edges = raw
+    k = len(genera)
+    p = rng.sample(range(k), k)
+    inv = sorted(range(k), key=p.__getitem__)
+    raw2 = (
+        tuple(genera[i] for i in inv),
+        tuple(sorted((lab, p[v]) for lab, v in legs)),
+        tuple(branch[i] for i in inv),
+        tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges)),
+    )
+    return raw2, None if tags is None else tuple(tags[i] for i in inv)
+
+
+def generated_group(gens, k) -> set:
+    identity = tuple(range(k))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = tuple(s[g[i]] for i in range(k))
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    return group
+
+
+def assert_group_matches_oracle(raw, tags=None):
+    k = len(raw[0])
+    res = canonicalize_raw(raw, tags)
+    auts = brute_force_vertex_automorphisms(raw, tags)
+    assert res.vertex_aut_order == len(auts)
+    orbits, covered = [], set()
+    for v in range(k):
+        if v not in covered:
+            orbit = frozenset(p[v] for p in auts)
+            covered |= orbit
+            orbits.append(orbit)
+    assert res.vertex_orbits == tuple(orbits)
+    assert generated_group(res.vertex_generators, k) == set(auts)
+
+
+class TestGroupAgainstOracle:
+    """Group order, orbits and generators of ``canonicalize_raw`` against
+    every vertex permutation, tried one by one."""
+
+    def test_catalog_graphs(self, catalog):
+        rng = random.Random(5)
+        for gn in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0)]:
+            for key in sorted(catalog(*gn).keys):
+                raw = raw_from_key(key)
+                if len(raw[0]) <= 8:
+                    assert_group_matches_oracle(raw)
+                    assert_group_matches_oracle(*relabeled_raw(raw, None, rng))
+
+    def test_class_key_incidence_raws(self, monkeypatch):
+        raws = []
+
+        def recording(raw, tags=None):
+            raws.append((raw, tags))
+            return canonicalize_raw(raw, tags)
+
+        monkeypatch.setattr(torelli_module, "canonicalize_raw", recording)
+        for m in range(2, 7):
+            torelli_key(banana(0, 0, m))
+        for c in range(1, 4):
+            torelli_key(StableGraph.build(
+                {0: 0, **{i: 1 for i in range(1, c + 1)}},
+                [(0, i) for i in range(1, c + 1) for _ in range(2)],
+            ))
+        assert len(raws) == 8 and max(len(raw[0]) for raw, _ in raws) == 8
+        rng = random.Random(6)
+        for raw, tags in raws:
+            assert tags is not None
+            assert_group_matches_oracle(raw, tags)
+            assert_group_matches_oracle(*relabeled_raw(raw, tags, rng))
 
 
 class TestSeparatingEdges:

@@ -28,6 +28,7 @@ from _oracles import (
     naive_separating_edges,
     random_order_stabilize_keys,
 )
+import torelli_graphs.graph_core as graph_core
 import torelli_graphs.torelli as torelli_module
 
 
@@ -112,6 +113,25 @@ class TestPst:
         g = StableGraph.build({0: 2, 1: 2}, edges=[(0, 1)])
         poly = pst(g)
         assert sorted(c.genus() for c in poly.components) == [2, 2]
+
+    def test_direct_construction_rejects_bridge(self):
+        chain = StableGraph.build({0: 1, 1: 1}, edges=[(0, 1)])
+        with pytest.raises(DomainError, match="no separating edges"):
+            PolystableGraph((chain,))
+
+    def test_no_second_bridge_search(self, catalog, monkeypatch):
+        # pst builds its pieces bridgeless and does not search them again
+        calls = []
+        real = StableGraph.separating_edges
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(StableGraph, "separating_edges", counting)
+        for g in catalog(2, 1).graphs():
+            pst(g)
+        assert calls == []
 
     def test_idempotent_on_catalogs(self, catalog):
         for gn in [(2, 0), (1, 2), (2, 1)]:
@@ -299,6 +319,60 @@ class TestKeyContract:
         assert digest == self.PINNED
 
 
+def banana(m):
+    """Two genus-0 vertices on m parallel edges."""
+    return StableGraph.build({0: 0, 1: 0}, edges=[(0, 1)] * m)
+
+
+def centre(c):
+    """A genus-0 centre with c genus-1 arms, each on a double edge."""
+    return StableGraph.build(
+        {0: 0, **{i: 1 for i in range(1, c + 1)}},
+        edges=[(0, i) for i in range(1, c + 1) for _ in range(2)],
+    )
+
+
+class TestSymmetricFamilies:
+    # class keys computed with the search that visited every leaf
+    PINNED = {
+        ("banana", 5): "TK1;TG1;k=7;g=0,0,0,0,0,0,0;l=;b=;e=0-2,0-3,0-4,0-5,0-6,1-2,1-3,1-4,1-5,1-6;t=0:0,1:0,2:1,3:1,4:1,5:1,6:1|m1",
+        ("banana", 6): "TK1;TG1;k=8;g=0,0,0,0,0,0,0,0;l=;b=;e=0-2,0-3,0-4,0-5,0-6,0-7,1-2,1-3,1-4,1-5,1-6,1-7;t=0:0,1:0,2:1,3:1,4:1,5:1,6:1,7:1|m1",
+        ("banana", 7): "TK1;TG1;k=9;g=0,0,0,0,0,0,0,0,0;l=;b=;e=0-2,0-3,0-4,0-5,0-6,0-7,0-8,1-2,1-3,1-4,1-5,1-6,1-7,1-8;t=0:0,1:0,2:1,3:1,4:1,5:1,6:1,7:1,8:1|m1",
+        ("banana", 8): "TK1;TG1;k=10;g=0,0,0,0,0,0,0,0,0,0;l=;b=;e=0-2,0-3,0-4,0-5,0-6,0-7,0-8,0-9,1-2,1-3,1-4,1-5,1-6,1-7,1-8,1-9;t=0:0,1:0,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1|m1",
+        ("banana", 9): "TK1;TG1;k=11;g=0,0,0,0,0,0,0,0,0,0,0;l=;b=;e=0-2,0-3,0-4,0-5,0-6,0-7,0-8,0-9,0-10,1-2,1-3,1-4,1-5,1-6,1-7,1-8,1-9,1-10;t=0:0,1:0,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1,10:1|m1",
+        ("centre", 5): "TK1;TG1;k=11;g=0,1,1,1,1,1,0,0,0,0,0;l=;b=;e=0-6,0-6,0-7,0-7,0-8,0-8,0-9,0-9,0-10,0-10,1-6,1-6,2-7,2-7,3-8,3-8,4-9,4-9,5-10,5-10;t=0:0,1:0,2:0,3:0,4:0,5:0,6:1,7:1,8:1,9:1,10:1|m1",
+        ("centre", 6): "TK1;TG1;k=13;g=0,1,1,1,1,1,1,0,0,0,0,0,0;l=;b=;e=0-7,0-7,0-8,0-8,0-9,0-9,0-10,0-10,0-11,0-11,0-12,0-12,1-7,1-7,2-8,2-8,3-9,3-9,4-10,4-10,5-11,5-11,6-12,6-12;t=0:0,1:0,2:0,3:0,4:0,5:0,6:0,7:1,8:1,9:1,10:1,11:1,12:1|m1",
+        ("centre", 7): "TK1;TG1;k=15;g=0,1,1,1,1,1,1,1,0,0,0,0,0,0,0;l=;b=;e=0-8,0-8,0-9,0-9,0-10,0-10,0-11,0-11,0-12,0-12,0-13,0-13,0-14,0-14,1-8,1-8,2-9,2-9,3-10,3-10,4-11,4-11,5-12,5-12,6-13,6-13,7-14,7-14;t=0:0,1:0,2:0,3:0,4:0,5:0,6:0,7:0,8:1,9:1,10:1,11:1,12:1,13:1,14:1|m1",
+        ("centre", 8): "TK1;TG1;k=17;g=0,1,1,1,1,1,1,1,1,0,0,0,0,0,0,0,0;l=;b=;e=0-9,0-9,0-10,0-10,0-11,0-11,0-12,0-12,0-13,0-13,0-14,0-14,0-15,0-15,0-16,0-16,1-9,1-9,2-10,2-10,3-11,3-11,4-12,4-12,5-13,5-13,6-14,6-14,7-15,7-15,8-16,8-16;t=0:0,1:0,2:0,3:0,4:0,5:0,6:0,7:0,8:0,9:1,10:1,11:1,12:1,13:1,14:1,15:1,16:1|m1",
+    }
+
+    def test_class_keys_pinned(self):
+        family = {"banana": banana, "centre": centre}
+        for (name, n), key in self.PINNED.items():
+            assert torelli_key(family[name](n)).decode() == key
+
+    def test_search_leaves_bounded(self, monkeypatch):
+        # the incidence graph of banana m has m interchangeable blocks and
+        # centre c has c interchangeable arms; without automorphism pruning
+        # they take 2*m! and c! leaves
+        calls = []
+        real = graph_core._certificate
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(graph_core, "_certificate", counting)
+        for m in range(2, 13):
+            calls.clear()
+            torelli_key(banana(m))
+            assert len(calls) <= m + 1
+        for c in range(1, 11):
+            calls.clear()
+            torelli_key(centre(c))
+            assert len(calls) <= c
+
+
 class TestFiberConstant:
     def test_separating_four_axis_constant(self):
         axis = AxisGraph(
@@ -352,16 +426,17 @@ class TestFiberConstant:
         with pytest.raises(DomainError):
             fiber_constant(axis)
 
-    def test_remnant_reason_when_keys_agree(self):
-        # a 4-axis point with profile (2,2) between two isomorphic loops can
-        # produce agreeing keys for symmetric insertions; the surviving
-        # 4-valent inserted vertex must still force a varying verdict
+    def test_profile_two_two_key_mismatch_witness(self):
+        # the (2,2) profile varies because stratum 1 already has another
+        # class key; the remnant rule is never consulted
         axis = AxisGraph(
             [(0, 1, []), (1, 1, [])],
             [SingularPoint(0, ((0, 0), (0, 1), (1, 0), (1, 1)))],
         )
         verdict = fiber_constant(axis)
         assert verdict.verdict == "varies"
+        assert verdict.reason == "fiber strata have differing class keys"
+        assert verdict.witness == (0, 1)
 
 
 def profile_axis(profile, reverse=False):
@@ -400,7 +475,7 @@ class TestFiberEarlyExit:
                       [SingularPoint(0, ((0, 0), (1, 0), (2, 0), (3, 0)))]),
             AxisGraph([(0, 1, [])],
                       [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (0, 3)))]),
-            # also the remnant-rule case of TestFiberConstant
+            # the (2,2) profile, whose keys differ at stratum 1
             AxisGraph([(0, 1, []), (1, 1, [])],
                       [SingularPoint(0, ((0, 0), (0, 1), (1, 0), (1, 1)))]),
             AxisGraph([(0, 2, []), (1, 1, [])],
