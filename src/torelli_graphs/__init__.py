@@ -49,7 +49,6 @@ from .torelli import (
     C1Partition,
     FiberVerdict,
     PolystableGraph,
-    c1_equivalent,
     c1_sets,
     component_class_key,
     fiber_constant,

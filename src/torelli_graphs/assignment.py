@@ -41,6 +41,18 @@ QUASI_SEPARATING = "quasi-separating"
 GENERAL = "general"
 
 
+def profile_category(profile: tuple) -> str:
+    """Category of a bridge or singular point from its profile (branches
+    per component of the complement, largest first): separating when every
+    component takes one, quasi-separating when one takes two or three and
+    the rest one each, general otherwise."""
+    if profile[0] == 1:
+        return SEPARATING
+    if profile[0] <= 3 and (len(profile) == 1 or profile[1] == 1):
+        return QUASI_SEPARATING
+    return GENERAL
+
+
 @dataclass(frozen=True)
 class BridgeRecord:
     """One rational multibridge: a legless tree of genus-zero vertices.
@@ -90,30 +102,13 @@ def classify_bridge(graph: StableGraph, vertices: Iterable) -> BridgeRecord | No
             internal.append((u, w))
         elif u in sub or w in sub:
             attaching.append(e)
-    if len(internal) != len(sub) - 1:
+    if len(internal) != len(sub) - 1 or len(graph.induced_components(sub)) != 1:
         return None  # not a tree
-    # connectivity of the induced forest
-    seen = {next(iter(sub))}
-    grew = True
-    while grew:
-        grew = False
-        for u, w in internal:
-            if (u in seen) != (w in seen):
-                seen.add(u if w in seen else w)
-                grew = True
-    if seen != sub:
-        return None
     m = len(attaching)
     if m == 0:
         return None
     profile = _attachment_profile(graph, sub, attaching)
-    if profile == (1,) * m:
-        category = SEPARATING
-    elif sum(1 for c in profile if c > 1) <= 1 and profile[0] <= 3:
-        category = QUASI_SEPARATING
-    else:
-        category = GENERAL
-    return BridgeRecord(sub, m, category, profile)
+    return BridgeRecord(sub, m, profile_category(profile), profile)
 
 
 def _attachment_profile(graph, sub, attaching) -> tuple:
@@ -462,24 +457,7 @@ def verify_extremal(
 def is_z_quasi_separating(graph: StableGraph, assignment: ExtremalAssignment) -> bool:
     """True when every connected component of the assigned subgraph is a
     separating or quasi-separating rational multibridge."""
-    chosen = assignment.value(graph)
-    if not chosen:
-        return True
-    remaining = set(chosen)
-    while remaining:
-        comp = {remaining.pop()}
-        grew = True
-        while grew:
-            grew = False
-            for e in graph.edges():
-                u, w = graph.edge_vertices(e)
-                if u in comp and w in chosen and w not in comp:
-                    comp.add(w)
-                    grew = True
-                elif w in comp and u in chosen and u not in comp:
-                    comp.add(u)
-                    grew = True
-        remaining -= comp
+    for comp in graph.induced_components(assignment.value(graph)):
         rec = classify_bridge(graph, comp)
         if rec is None or rec.category == GENERAL:
             return False

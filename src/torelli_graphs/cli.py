@@ -9,9 +9,11 @@ outputs go through --out.  Exit codes: 0 success (for fiber-check: constant),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -109,35 +111,54 @@ def cache_dir() -> Path:
 
 
 def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> GraphCatalog:
-    """Enumerate with a disk cache keyed by (g, n, bound, version)."""
+    """Enumerate with a disk cache keyed by (g, n, bound, version).
+
+    A cache file is used only when its schema, version, type, bound and
+    key count all match; otherwise the catalog is enumerated again and the
+    file rewritten.  Writes go to a temporary file in the same directory,
+    renamed over the cache file, so a reader never sees a partial file.
+    """
     path = cache_dir() / f"catalog-g{genus}-n{markings}-b{bound}-v{__version__}.json"
     if path.is_file():
         try:
             data = json.loads(path.read_text())
-            if data.get("schema") == SCHEMA and data.get("tool_version") == __version__:
-                keys = [k.encode("ascii") for k in data["keys"]]
-                return GraphCatalog.from_keys(genus, markings, keys)
-        except (ValueError, KeyError, OSError):
+            keys = data["keys"]
+            if (
+                data.get("schema") == SCHEMA
+                and data.get("tool_version") == __version__
+                and (data.get("g"), data.get("n"), data.get("bound")) == (genus, markings, bound)
+                and data.get("count") == len(keys)
+            ):
+                return GraphCatalog.from_keys(
+                    genus, markings, [k.encode("ascii") for k in keys]
+                )
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
             pass  # fall through and regenerate
     catalog = enumerate_stable_graphs(genus, markings, bound)
+    text = json.dumps(
+        {
+            "schema": SCHEMA,
+            "kind": "catalog-cache",
+            "g": genus,
+            "n": markings,
+            "bound": bound,
+            "tool_version": __version__,
+            "count": len(catalog),
+            "keys": [k.decode("ascii") for k in catalog.keys],
+        }
+    )
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "kind": "catalog-cache",
-                    "g": genus,
-                    "n": markings,
-                    "bound": bound,
-                    "tool_version": __version__,
-                    "count": len(catalog),
-                    "keys": [k.decode("ascii") for k in catalog.keys],
-                }
-            )
-        )
+        fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError:
-        pass  # cache is best effort
+        # the cache is best effort, but leaves no partial file behind
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
     return catalog
 
 

@@ -16,17 +16,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graph_core import (
+    MAX_GENUS,
     DomainError,
     StableGraph,
     StructuralError,
     canonicalize_raw,
     is_connected_edges,
 )
+from .assignment import GENERAL, SEPARATING, profile_category
 
 NODE = "node"
-SEPARATING = "separating"
-QUASI_SEPARATING = "quasi-separating"
-GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ class AxisGraph:
         for cid, genus, comp_legs in components:
             if cid in comp:
                 raise StructuralError(f"duplicate component id {cid}")
-            if genus < 0:
-                raise StructuralError(f"component {cid}: negative genus")
+            if not 0 <= genus <= MAX_GENUS:
+                raise StructuralError(f"component {cid}: genus {genus} out of range")
             comp[cid] = genus
             legs[cid] = tuple(sorted(comp_legs))
         points = []
@@ -69,8 +68,8 @@ class AxisGraph:
         for p in points:
             if p.multiplicity < 2:
                 raise StructuralError("singular point needs at least two slots")
-            if p.genus < 0:
-                raise StructuralError("singular point with negative genus")
+            if not 0 <= p.genus <= MAX_GENUS:
+                raise StructuralError(f"singular point genus {p.genus} out of range")
             for cid, sid in p.slots:
                 if cid not in comp:
                     raise StructuralError(f"slot on unknown component {cid}")
@@ -108,12 +107,6 @@ class AxisGraph:
     def singular_points(self) -> tuple:
         return self._points
 
-    def slots_of(self, cid) -> tuple:
-        out = [
-            (cid2, sid) for p in self._points for cid2, sid in p.slots if cid2 == cid
-        ]
-        return tuple(sorted(out))
-
     def absorbed_legs(self) -> tuple:
         return tuple(l for p in self._points for l in p.absorbed_legs)
 
@@ -126,46 +119,31 @@ class AxisGraph:
     # -- invariants ----------------------------------------------------------
 
     def genus(self) -> int:
-        """Arithmetic genus, computed on the star expansion: each singular
-        point contributes its genus plus multiplicity minus one."""
-        graph, _, _ = self.star_expansion()
-        return graph.genus()
-
-    def star_expansion(self):
-        """Expand every hyperedge to a star around a fresh sentinel vertex.
-
-        Returns (graph, tags, sentinel_of_point): tags mark sentinels so the
-        expansion distinguishes them from genuine components.
-        """
-        vertices = {}
-        tags = {}
-        legs = {}
-        for cid in sorted(self._components):
-            vid = ("c", cid)
-            vertices[vid] = self._components[cid]
-            tags[vid] = 0
-            for l in self._legs[cid]:
-                legs[l] = vid
-        edges = []
-        sentinel_of_point = {}
-        for i, p in enumerate(self._points):
-            svid = ("s", i)
-            vertices[svid] = p.genus
-            tags[svid] = 1
-            sentinel_of_point[i] = svid
-            for l in p.absorbed_legs:
-                legs[l] = svid
-            for cid, _sid in p.slots:
-                edges.append((svid, ("c", cid)))
-        graph = StableGraph.build(vertices, edges, legs)
-        return graph, tags, sentinel_of_point
+        """Arithmetic genus of the star expansion (a vertex of the point's
+        genus at every point, joined to each of its slots): the component
+        genera minus their number plus one, plus genus and multiplicity
+        minus one per point."""
+        return (
+            sum(self._components.values()) - len(self._components) + 1
+            + sum(p.genus + len(p.slots) - 1 for p in self._points)
+        )
 
     def canonical_key(self) -> bytes:
+        """Key of the star expansion, point vertices tagged apart from the
+        components: components in id order, then the points in order."""
         if self._canon is None:
-            graph, tags, _ = self.star_expansion()
-            raw, vids = graph.to_raw()
-            tag_list = tuple(tags[v] for v in vids)
-            self._canon = b"AX1;" + canonicalize_raw(raw, tags=tag_list).key
+            cids = sorted(self._components)
+            idx = {c: i for i, c in enumerate(cids)}
+            points = self._points
+            genera = tuple(self._components[c] for c in cids) + tuple(p.genus for p in points)
+            legs = [(lab, idx[c]) for c in cids for lab in self._legs[c]]
+            edges = []
+            for i, p in enumerate(points, len(cids)):
+                legs += [(lab, i) for lab in p.absorbed_legs]
+                edges += [(idx[c], i) for c, _ in p.slots]
+            raw = (genera, tuple(sorted(legs)), (0,) * len(genera), tuple(sorted(edges)))
+            tags = (0,) * len(cids) + (1,) * len(points)
+            self._canon = b"AX1;" + canonicalize_raw(raw, tags=tags).key
         return self._canon
 
     # -- serialization -------------------------------------------------------
@@ -245,27 +223,8 @@ def z_contract(graph: StableGraph, chosen) -> AxisGraph:
     if graph.branch_points():
         raise DomainError("input graph must not carry branch points")
 
-    # split the chosen set into connected components
-    comps = []
-    remaining = set(chosen)
-    while remaining:
-        comp = {remaining.pop()}
-        grew = True
-        while grew:
-            grew = False
-            for e in graph.edges():
-                u, w = graph.edge_vertices(e)
-                if u in comp and w in chosen and w not in comp:
-                    comp.add(w)
-                    grew = True
-                elif w in comp and u in chosen and u not in comp:
-                    comp.add(u)
-                    grew = True
-        remaining -= comp
-        comps.append(comp)
-
     points = []
-    for comp in comps:
+    for comp in graph.induced_components(chosen):
         internal = 0
         slots = []
         absorbed = []
@@ -359,24 +318,13 @@ def classify_axis_points(axis: AxisGraph) -> AxisClassification:
             r = find(idx[c])
             counts[r] = counts.get(r, 0) + 1
         profile = tuple(sorted(counts.values(), reverse=True))
-        if p.multiplicity == 2:
-            category = NODE
-        elif profile == (1,) * p.multiplicity:
-            category = SEPARATING
-        elif sum(1 for c in profile if c > 1) <= 1 and profile[0] <= 3:
-            category = QUASI_SEPARATING
-        else:
-            category = GENERAL
+        category = NODE if p.multiplicity == 2 else profile_category(profile)
         records.append(
             AxisPointClass(i, p.multiplicity, p.genus, category, profile)
         )
     axis_like = all(p.genus == 0 for p in axis.singular_points()) and not axis.absorbed_legs()
-    seps = all(
-        r.category in (NODE, SEPARATING) for r in records
-    )
-    qseps = all(
-        r.category in (NODE, SEPARATING, QUASI_SEPARATING) for r in records
-    )
+    seps = all(r.category in (NODE, SEPARATING) for r in records)
+    qseps = all(r.category != GENERAL for r in records)
     return AxisClassification(
         points=tuple(records),
         is_axis_like=axis_like,
@@ -389,51 +337,61 @@ def classify_axis_points(axis: AxisGraph) -> AxisClassification:
 # Stable genus-zero trees with labelled leaves, and fiber strata.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def leaf_labeled_trees(m: int) -> tuple:
-    """All stable genus-zero graphs with leaves 1..m, up to isomorphism.
+def _tree_raw(tree: tuple, m: int):
+    """The raw graph of a flat tree (see ``_tree_menu``)."""
+    nv = (len(tree) - m) // 2 + 1
+    ends = tree[m:]
+    edges = sorted(
+        (u, w) if u <= w else (w, u) for u, w in zip(ends[::2], ends[1::2])
+    )
+    legs = tuple(zip(range(1, m + 1), tree[:m]))
+    return ((0,) * nv, legs, (0,) * nv, tuple(edges))
 
-    Generated by inserting leaf ``m`` at every vertex, edge, and leg of the
-    (m-1)-leaf trees; insertion at a leg splits off a new vertex carrying
-    both labels.
-    """
+
+@lru_cache(maxsize=None)
+def _tree_menu(m: int) -> tuple:
+    """The trees of ``leaf_labeled_trees(m)``, in its order and numbering,
+    each flattened to one int tuple: the vertex of each leaf 1..m, then the
+    two end vertices of each edge.  Vertices are 0..#edges; the graph is
+    ``StableGraph.build`` of those edges and leaves."""
     if m < 3:
         raise DomainError("stable genus-zero trees need at least 3 leaves")
     if m == 3:
-        return (StableGraph.build({0: 0}, legs={1: 0, 2: 0, 3: 0}),)
+        return ((0, 0, 0),)
     out: dict = {}
-    for t in leaf_labeled_trees(m - 1):
-        nv = max(t.vertices()) + 1
-        for v in t.vertices():
-            legs = {lab: t.vertex_of(h) for lab, h in t.legs.items()}
-            legs[m] = v
-            cand = StableGraph.build(
-                {u: 0 for u in t.vertices()},
-                [t.edge_vertices(e) for e in t.edges()],
-                legs,
-            )
-            out.setdefault(cand.canonical_key(), cand)
-        for e in t.edges():
-            u, w = t.edge_vertices(e)
-            legs = {lab: t.vertex_of(h) for lab, h in t.legs.items()}
-            legs[m] = nv
-            edges = [t.edge_vertices(e2) for e2 in t.edges() if e2 != e]
-            edges += [(u, nv), (nv, w)]
-            cand = StableGraph.build(
-                {**{u2: 0 for u2 in t.vertices()}, nv: 0}, edges, legs
-            )
-            out.setdefault(cand.canonical_key(), cand)
-        for lab, h in t.legs.items():
-            v = t.vertex_of(h)
-            legs = {l2: t.vertex_of(h2) for l2, h2 in t.legs.items() if l2 != lab}
-            legs[lab] = nv
-            legs[m] = nv
-            edges = [t.edge_vertices(e2) for e2 in t.edges()] + [(v, nv)]
-            cand = StableGraph.build(
-                {**{u2: 0 for u2 in t.vertices()}, nv: 0}, edges, legs
-            )
-            out.setdefault(cand.canonical_key(), cand)
+    for t in _tree_menu(m - 1):
+        legs, ends = t[: m - 1], t[m - 1:]
+        nv = len(ends) // 2 + 1
+        cands = [legs + (v,) + ends for v in range(nv)]
+        for j in range(0, len(ends), 2):
+            u, w = ends[j], ends[j + 1]
+            cands.append(legs + (nv,) + ends[:j] + ends[j + 2:] + (u, nv, nv, w))
+        for i, v in enumerate(legs):
+            cands.append(legs[:i] + (nv,) + legs[i + 1:] + (nv,) + ends + (v, nv))
+        for cand in cands:
+            out.setdefault(canonicalize_raw(_tree_raw(cand, m)).key, cand)
     return tuple(out[k] for k in sorted(out))
+
+
+@lru_cache(maxsize=None)
+def leaf_labeled_trees(m: int) -> tuple:
+    """All stable genus-zero graphs with leaves 1..m, up to isomorphism, in
+    canonical key order.
+
+    Generated by inserting leaf ``m`` at every vertex, edge, and leg of the
+    (m-1)-leaf trees; insertion at a leg splits off a new vertex carrying
+    both labels.  The first insertion of each class is kept, with vertices
+    numbered 0.. and halfedges as ``StableGraph.build`` numbers them.
+    """
+    out = []
+    for tree in _tree_menu(m):
+        ends = tree[m:]
+        out.append(StableGraph.build(
+            {v: 0 for v in range(len(ends) // 2 + 1)},
+            zip(ends[::2], ends[1::2]),
+            dict(zip(range(1, m + 1), tree[:m])),
+        ))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -456,7 +414,7 @@ class FiberStrata:
 
 def _fiber_menus(axis: AxisGraph) -> tuple:
     """The points of multiplicity >= 3 as (index, point) pairs, and the
-    labelled-tree menu of each."""
+    flat labelled-tree menu of each."""
     for p in axis.singular_points():
         if p.genus != 0:
             raise DomainError("fiber enumeration needs all points of genus zero")
@@ -465,64 +423,71 @@ def _fiber_menus(axis: AxisGraph) -> tuple:
     big = [
         (i, p) for i, p in enumerate(axis.singular_points()) if p.multiplicity >= 3
     ]
-    return big, [leaf_labeled_trees(p.multiplicity) for _, p in big]
+    return big, [_tree_menu(p.multiplicity) for _, p in big]
+
+
+def _raw_strata(axis: AxisGraph):
+    """Yield the fiber as ((vertex -> genus, halfedge -> vertex, edge pairs,
+    leg -> halfedge), inserted vertex ids, choice): the data of the graphs
+    of ``iter_fiber_strata``, in its order and with its ids.  The leg map
+    is one object shared by every stratum."""
+    big, menus = _fiber_menus(axis)
+    genus = {cid: axis.component_genus(cid) for cid in axis.components()}
+    # the halfedges of slots, legs and nodes are the same in every stratum
+    h = 10_000_000
+    hvertex = {}
+    slot_hid = {}
+    for p in axis.singular_points():
+        for slot in p.slots:
+            hvertex[h] = slot[0]
+            slot_hid[slot] = h
+            h += 1
+    legs = {}
+    for cid in axis.components():
+        for lab in axis.component_legs(cid):
+            hvertex[h] = cid
+            legs[lab] = h
+            h += 1
+    epairs = [
+        (slot_hid[p.slots[0]], slot_hid[p.slots[1]])
+        for p in axis.singular_points() if p.multiplicity == 2
+    ]
+    first_tree_hid = h
+    fresh_start = max(genus) + 1
+    # leaf i of a point's tree is glued to its i-th slot (slots are sorted)
+    leaf_slots = [[slot_hid[slot] for slot in p.slots] for _, p in big]
+
+    for combo in itertools.product(*(range(len(menu)) for menu in menus)):
+        s_genus = dict(genus)
+        s_hvertex = dict(hvertex)
+        s_epairs = list(epairs)
+        h = first_tree_hid
+        base = fresh_start
+        for menu, pick, slots in zip(menus, combo, leaf_slots):
+            tree = menu[pick]
+            m = len(slots)
+            for j in range(m, len(tree), 2):
+                s_hvertex[h] = base + tree[j]
+                s_hvertex[h + 1] = base + tree[j + 1]
+                s_epairs.append((h, h + 1))
+                h += 2
+            for leaf_vertex, slot_h in zip(tree, slots):
+                s_hvertex[h] = base + leaf_vertex
+                s_epairs.append((h, slot_h))
+                h += 1
+            nv = (len(tree) - m) // 2 + 1
+            for v in range(base, base + nv):
+                s_genus[v] = 0
+            base += nv
+        yield (s_genus, s_hvertex, s_epairs, legs), frozenset(range(fresh_start, base)), combo
 
 
 def iter_fiber_strata(axis: AxisGraph):
     """Yield the fiber lazily as (graph, inserted vertex ids, choice), in the
     order of ``fiber_strata``: one stratum per choice of a stable labelled
     tree at every multiplicity >= 3 point, leaves glued slotwise."""
-    big, menus = _fiber_menus(axis)
-    vertices = {cid: axis.component_genus(cid) for cid in axis.components()}
-    # the halfedges of slots, legs and nodes are the same in every stratum
-    hid_counter = itertools.count(10_000_000)
-    halfedges = []
-    slot_hid = {}
-    for p in axis.singular_points():
-        for cid, sid in p.slots:
-            h = next(hid_counter)
-            halfedges.append((h, cid))
-            slot_hid[(cid, sid)] = h
-    legmap = {}
-    for cid in axis.components():
-        for lab in axis.component_legs(cid):
-            h = next(hid_counter)
-            halfedges.append((h, cid))
-            legmap[lab] = h
-    epairs = [
-        (slot_hid[p.slots[0]], slot_hid[p.slots[1]])
-        for p in axis.singular_points() if p.multiplicity == 2
-    ]
-    first_tree_hid = next(hid_counter)
-    fresh_start = max(axis.components()) + 1 if axis.components() else 0
-
-    for combo in itertools.product(*(range(len(menu)) for menu in menus)):
-        stratum_vertices = dict(vertices)
-        stratum_halfedges = list(halfedges)
-        stratum_epairs = list(epairs)
-        hids = itertools.count(first_tree_hid)
-        fresh_v = itertools.count(fresh_start)
-        inserted = set()
-        for (_, p), menu, pick in zip(big, menus, combo):
-            tree = menu[pick]
-            slot_order = sorted(p.slots)
-            vmap = {}
-            for tv in tree.vertices():
-                nid = next(fresh_v)
-                vmap[tv] = nid
-                stratum_vertices[nid] = 0
-                inserted.add(nid)
-            hmap = {}
-            for th in tree.halfedges():
-                h = next(hids)
-                hmap[th] = h
-                stratum_halfedges.append((h, vmap[tree.vertex_of(th)]))
-            for e in tree.edges():
-                stratum_epairs.append((hmap[e[0]], hmap[e[1]]))
-            for lab, th in tree.legs.items():
-                stratum_epairs.append((hmap[th], slot_hid[slot_order[lab - 1]]))
-        graph = StableGraph(stratum_vertices, stratum_halfedges, stratum_epairs, legmap)
-        yield graph, frozenset(inserted), combo
+    for stratum, inserted, combo in _raw_strata(axis):
+        yield StableGraph(*stratum), inserted, combo
 
 
 def fiber_strata(axis: AxisGraph) -> FiberStrata:

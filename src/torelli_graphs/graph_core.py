@@ -643,9 +643,6 @@ class StableGraph:
     def mate(self, h):
         return self._mate.get(h)
 
-    def halfedges_at(self, v) -> tuple:
-        return self._h_at[v]
-
     def valence(self, v) -> int:
         return len(self._h_at[v])
 
@@ -731,6 +728,31 @@ class StableGraph:
         ]
         idxs = bridge_edge_indices(len(idx), pairs)
         return frozenset(self._edges[i] for i in idxs)
+
+    def induced_components(self, vertices) -> list:
+        """Vertex sets of the connected components of the subgraph induced
+        on ``vertices``, in the order ``set.pop`` on a set of them meets
+        the components."""
+        vertices = frozenset(vertices)
+        adj: dict = {v: [] for v in vertices}
+        for a, b in self._edges:
+            u, w = self._hvertex[a], self._hvertex[b]
+            if u in adj and w in adj:
+                adj[u].append(w)
+                adj[w].append(u)
+        remaining = set(vertices)
+        comps = []
+        while remaining:
+            stack = [remaining.pop()]
+            comp = set(stack)
+            while stack:
+                for u in adj[stack.pop()]:
+                    if u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+            remaining -= comp
+            comps.append(comp)
+        return comps
 
     def delete_edges(self, edges) -> list:
         """Drop edges entirely (halfedges removed) and split into components."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph_core import (
     DomainError,
@@ -21,17 +22,17 @@ from .graph_core import (
     bridge_edge_indices,
     canonicalize_raw,
 )
-from .contraction import AxisGraph, classify_axis_points, iter_fiber_strata
+from .contraction import AxisGraph, _raw_strata, classify_axis_points
 
 
 # ---------------------------------------------------------------------------
 # Stabilization and polystable reduction.
 # ---------------------------------------------------------------------------
 
-def _stabilized(genus: dict, hvertex: dict, mate: dict) -> StableGraph:
+def _stabilized(genus: dict, hvertex: dict, mate: dict) -> tuple:
     """Contract rational tails and bridges of a connected legless graph,
-    given as vertex -> genus, halfedge -> vertex and the halfedge pairing
-    (all three are consumed).
+    given as vertex -> genus, halfedge -> vertex and the halfedge pairing;
+    the three dicts are updated in place and returned.
 
     The smallest contractible vertex goes first.  A genus-zero vertex of
     valence one merges into its neighbour; valence two fuses the two
@@ -73,8 +74,11 @@ def _stabilized(genus: dict, hvertex: dict, mate: dict) -> StableGraph:
             del mate[x]
         del genus[v]
         del h_at[v]
-    edges = [(h, m) for h, m in mate.items() if h < m]
-    return StableGraph(genus, hvertex, edges, {})
+    return genus, hvertex, mate
+
+
+def _graph_of(genus: dict, hvertex: dict, mate: dict) -> StableGraph:
+    return StableGraph(genus, hvertex, [(h, m) for h, m in mate.items() if h < m], {})
 
 
 def stabilize_component(graph: StableGraph) -> StableGraph:
@@ -92,11 +96,11 @@ def stabilize_component(graph: StableGraph) -> StableGraph:
     for a, b in graph.edges():
         mate[a] = b
         mate[b] = a
-    return _stabilized(
+    return _graph_of(*_stabilized(
         {v: graph.vertex_genus(v) for v in graph.vertices()},
         {h: graph.vertex_of(h) for h in graph.halfedges()},
         mate,
-    )
+    ))
 
 
 def stabilize(components) -> "PolystableGraph":
@@ -104,11 +108,21 @@ def stabilize(components) -> "PolystableGraph":
     return PolystableGraph(tuple(stabilize_component(c) for c in components))
 
 
-def _moduli_positive(piece: StableGraph) -> bool:
-    """Some vertex has 3g - 3 + valence > 0."""
-    return any(
-        3 * piece.vertex_genus(v) - 3 + piece.valence(v) > 0 for v in piece.vertices()
-    )
+def _check_piece(genus: dict, hvertex: dict, n_edges: int) -> None:
+    """The rules for one polystable piece, given as vertex -> genus and
+    halfedge -> vertex of a legless graph with ``n_edges`` edges: stable
+    of genus >= 2, an irreducible genus-one vertex, or a bare genus-zero
+    vertex."""
+    g = sum(genus.values()) + n_edges - len(genus) + 1
+    if g >= 2:
+        valence = Counter(hvertex.values())
+        if any(2 * gv - 2 + valence[v] <= 0 for v, gv in genus.items()):
+            raise DomainError("genus >= 2 piece must be stable")
+    elif len(genus) != 1:
+        raise DomainError(
+            "genus-one piece must be irreducible" if g == 1
+            else "genus-zero piece must be a bare vertex"
+        )
 
 
 class PolystableGraph:
@@ -122,31 +136,22 @@ class PolystableGraph:
         comps = tuple(components)
         if any(c.separating_edges() for c in comps):
             raise DomainError("polystable pieces have no separating edges")
-        self._set_components(comps)
-
-    @classmethod
-    def _from_bridgeless(cls, comps: tuple) -> "PolystableGraph":
-        """For pieces that ``pst`` has just built bridgeless: every check
-        but the bridge search."""
-        poly = cls.__new__(cls)
-        poly._set_components(comps)
-        return poly
-
-    def _set_components(self, comps: tuple) -> None:
         for c in comps:
             if c.legs or c.branch_points():
                 raise DomainError("polystable pieces carry no legs or branch points")
-            g = c.genus()
-            if g >= 2:
-                if not c.is_stable():
-                    raise DomainError("genus >= 2 piece must be stable")
-            elif g == 1:
-                if len(c.vertices()) != 1:
-                    raise DomainError("genus-one piece must be irreducible")
-            else:
-                if len(c.vertices()) != 1 or c.edges():
-                    raise DomainError("genus-zero piece must be a bare vertex")
+            _check_piece(
+                {v: c.vertex_genus(v) for v in c.vertices()},
+                {h: c.vertex_of(h) for h in c.halfedges()},
+                len(c.edges()),
+            )
         self.components = comps
+
+    @classmethod
+    def _from_checked(cls, comps: tuple) -> "PolystableGraph":
+        """For pieces that ``_pst_pieces`` has built bridgeless and checked."""
+        poly = cls.__new__(cls)
+        poly.components = comps
+        return poly
 
     def genus(self) -> int:
         return sum(c.genus() for c in self.components)
@@ -156,7 +161,9 @@ class PolystableGraph:
 
     def moduli_positive_flags(self) -> tuple:
         """Per component (in sorted order): some vertex has 3g - 3 + valence > 0."""
-        return tuple(_moduli_positive(c) for c in self.sorted_components())
+        return tuple(
+            _moduli_positive(*_indexed_piece(c)) for c in self.sorted_components()
+        )
 
     def __repr__(self):
         return f"PolystableGraph({[c.genus() for c in self.components]})"
@@ -173,11 +180,23 @@ def _indexed_edges(graph: StableGraph) -> tuple:
     return vids, ends
 
 
-def pst(graph: StableGraph) -> PolystableGraph:
-    """Forget markings, normalize at all separating edges, stabilize, and
-    drop the genus-zero pieces.  Vertex and halfedge ids of survivors are
-    preserved; pieces come in the order of their smallest vertex id."""
-    vids, ends = _indexed_edges(graph)
+def _indexed_piece(piece: StableGraph) -> tuple:
+    """(genus of each vertex in id order, edges as vertex index pairs)."""
+    vids, ends = _indexed_edges(piece)
+    return tuple(piece.vertex_genus(v) for v in vids), ends
+
+
+def _pst_pieces(genus: dict, hvertex: dict, edges) -> list:
+    """The pieces of ``pst`` on raw data: vertex -> genus, halfedge -> vertex
+    and the edge pairs (other halfedges, legs among them, are ignored).
+
+    Returns the stabilized pieces of positive genus as (vertex -> genus,
+    halfedge -> vertex, halfedge pairing), each checked by the piece rules,
+    in the order of their smallest vertex id.  The inputs are not changed.
+    """
+    vids = sorted(genus)
+    index = {v: i for i, v in enumerate(vids)}
+    ends = [(index[hvertex[a]], index[hvertex[b]]) for a, b in edges]
     bridges = bridge_edge_indices(len(vids), ends)
     kept = [i for i in range(len(ends)) if i not in bridges]
     adj = [[] for _ in vids]
@@ -196,18 +215,31 @@ def pst(graph: StableGraph) -> PolystableGraph:
                     if comp_of[u] < 0:
                         comp_of[u] = len(pieces)
                         comp.append(u)
-            pieces.append(({vids[v]: graph.vertex_genus(vids[v]) for v in comp}, {}, {}))
-    edges = graph.edges()
+            pieces.append(({vids[v]: genus[vids[v]] for v in comp}, {}, {}))
     for i in kept:
         (a, b), (u, w) = edges[i], ends[i]
-        _, hvertex, mate = pieces[comp_of[u]]
-        hvertex[a], hvertex[b] = vids[u], vids[w]
+        _, p_hvertex, mate = pieces[comp_of[u]]
+        p_hvertex[a], p_hvertex[b] = vids[u], vids[w]
         mate[a], mate[b] = b, a
-    return PolystableGraph._from_bridgeless(tuple(
-        _stabilized(genus, hvertex, mate)
-        for genus, hvertex, mate in pieces
-        if sum(genus.values()) + len(mate) // 2 - len(genus) + 1 > 0
-    ))
+    out = []
+    for p_genus, p_hvertex, mate in pieces:
+        if sum(p_genus.values()) + len(mate) // 2 - len(p_genus) + 1 > 0:
+            piece = _stabilized(p_genus, p_hvertex, mate)
+            _check_piece(piece[0], piece[1], len(mate) // 2)
+            out.append(piece)
+    return out
+
+
+def pst(graph: StableGraph) -> PolystableGraph:
+    """Forget markings, normalize at all separating edges, stabilize, and
+    drop the genus-zero pieces.  Vertex and halfedge ids of survivors are
+    preserved; pieces come in the order of their smallest vertex id."""
+    pieces = _pst_pieces(
+        {v: graph.vertex_genus(v) for v in graph.vertices()},
+        {h: graph.vertex_of(h) for h in graph.halfedges()},
+        graph.edges(),
+    )
+    return PolystableGraph._from_checked(tuple(_graph_of(*p) for p in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +297,15 @@ def _cycle_labels(k: int, ends) -> list:
     return labels
 
 
+def _label_blocks(labels) -> list:
+    """Edge indices grouped by cycle-space label: the C1 blocks of a
+    bridgeless graph, as lists of edge indices."""
+    blocks: dict = {}
+    for i, lab in enumerate(labels):
+        blocks.setdefault(lab, []).append(i)
+    return list(blocks.values())
+
+
 def _c1_blocks(graph: StableGraph) -> tuple:
     """(vertex ids, indexed edges, C1 blocks as lists of edge indices)."""
     vids, ends = _indexed_edges(graph)
@@ -274,10 +315,7 @@ def _c1_blocks(graph: StableGraph) -> tuple:
         raise DomainError(
             f"graph has separating edge {bridge}; C1-sets are undefined"
         )
-    blocks: dict = {}
-    for i, lab in enumerate(labels):
-        blocks.setdefault(lab, []).append(i)
-    return vids, ends, list(blocks.values())
+    return vids, ends, _label_blocks(labels)
 
 
 def c1_sets(graph: StableGraph) -> C1Partition:
@@ -289,103 +327,22 @@ def c1_sets(graph: StableGraph) -> C1Partition:
     return C1Partition(graph, tuple(sets))
 
 
-def _block_degrees(graph: StableGraph, block) -> dict:
-    """Halfedges at each vertex lying in the block's edges."""
-    deg: Counter = Counter()
-    for a, b in block:
-        deg[graph.vertex_of(a)] += 1
-        deg[graph.vertex_of(b)] += 1
-    return dict(deg)
-
-
 # ---------------------------------------------------------------------------
-# C1-equivalence and class keys.
+# Class keys.
 # ---------------------------------------------------------------------------
 
-def _c1_flat_data(poly: PolystableGraph):
-    """Flatten to indexed vertices and blocks.
-
-    Returns (verts, blocks, profile_of) with verts a list of
-    (component index, vertex id, genus, valence), blocks a list of
-    (size, {vertex index: halfedge count}), and profile_of[i] the sorted
-    (count, size) multiset of blocks at vertex i.
-    """
-    verts = []
-    vindex = {}
-    for ci, c in enumerate(poly.components):
-        for v in sorted(c.vertices()):
-            vindex[(ci, v)] = len(verts)
-            verts.append((ci, v, c.vertex_genus(v), c.valence(v)))
-    blocks = []
-    for ci, c in enumerate(poly.components):
-        for block in c1_sets(c).blocks:
-            deg = _block_degrees(c, block)
-            blocks.append(
-                (len(block), {vindex[(ci, v)]: d for v, d in deg.items()})
-            )
-    profile_of = [[] for _ in verts]
-    for size, deg in blocks:
-        for i, d in deg.items():
-            profile_of[i].append((d, size))
-    return verts, blocks, [tuple(sorted(p)) for p in profile_of]
-
-
-def c1_equivalent(a: PolystableGraph, b: PolystableGraph):
-    """Search for a genus-preserving vertex bijection matching the C1 data.
-
-    The bijection must transport every block's per-vertex halfedge counts
-    onto some block of the other side, bijectively on blocks; the edge
-    pairings within a block are free to differ.  Returns (True, witness) or
-    (False, None); the witness maps (component index, vertex id) pairs.
-    """
-    averts, ablocks, aprof = _c1_flat_data(a)
-    bverts, bblocks, bprof = _c1_flat_data(b)
-    if len(averts) != len(bverts) or len(ablocks) != len(bblocks):
-        return False, None
-
-    asig = [(averts[i][2], averts[i][3], aprof[i]) for i in range(len(averts))]
-    bsig = [(bverts[j][2], bverts[j][3], bprof[j]) for j in range(len(bverts))]
-    by_sig: dict = {}
-    for j, s in enumerate(bsig):
-        by_sig.setdefault(s, []).append(j)
-    if Counter(asig) != Counter(bsig):
-        return False, None
-
-    target = Counter(
-        (size, tuple(sorted(deg.items()))) for size, deg in bblocks
+def _incidence_key(genera, ends, blocks) -> bytes:
+    """Canonical key of the C1 incidence structure of a piece on vertices
+    0..k-1: vertices coloured by genus against blocks, with the block's
+    halfedge count at each vertex as edge multiplicity."""
+    k = len(genera)
+    n_blocks = len(blocks)
+    tags = (0,) * k + (1,) * n_blocks
+    edges = sorted(
+        (v, k + bi) for bi, block in enumerate(blocks) for i in block for v in ends[i]
     )
-    order = sorted(range(len(averts)), key=lambda i: (asig[i], i))
-    assign = [-1] * len(averts)
-    used = [False] * len(bverts)
-
-    def leaf_check() -> bool:
-        got = Counter(
-            (size, tuple(sorted((assign[i], d) for i, d in deg.items())))
-            for size, deg in ablocks
-        )
-        return got == target
-
-    def search(pos) -> bool:
-        if pos == len(order):
-            return leaf_check()
-        i = order[pos]
-        for j in by_sig[asig[i]]:
-            if not used[j]:
-                used[j] = True
-                assign[i] = j
-                if search(pos + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    if not search(0):
-        return False, None
-    witness = {
-        (averts[i][0], averts[i][1]): (bverts[assign[i]][0], bverts[assign[i]][1])
-        for i in range(len(averts))
-    }
-    return True, witness
+    raw = (tuple(genera) + (0,) * n_blocks, (), (0,) * (k + n_blocks), tuple(edges))
+    return canonicalize_raw(raw, tags=tags).key
 
 
 def component_class_key(piece: StableGraph) -> bytes:
@@ -393,24 +350,46 @@ def component_class_key(piece: StableGraph) -> bytes:
     by genus against blocks, with the block's halfedge count at each vertex
     as edge multiplicity."""
     vids, ends, blocks = _c1_blocks(piece)
-    k = len(vids)
-    n_blocks = len(blocks)
-    genera = tuple(piece.vertex_genus(v) for v in vids) + (0,) * n_blocks
-    tags = (0,) * k + (1,) * n_blocks
-    edges = sorted(
-        (v, k + bi) for bi, block in enumerate(blocks) for i in block for v in ends[i]
-    )
-    raw = (genera, (), (0,) * (k + n_blocks), tuple(edges))
-    return canonicalize_raw(raw, tags=tags).key
+    return _incidence_key([piece.vertex_genus(v) for v in vids], ends, blocks)
+
+
+def _moduli_positive(genera, ends) -> bool:
+    """Some vertex of a legless piece has 3g - 3 + valence > 0."""
+    valence = [0] * len(genera)
+    for u, w in ends:
+        valence[u] += 1
+        valence[w] += 1
+    return any(3 * g - 3 + d > 0 for g, d in zip(genera, valence))
+
+
+def _piece_part(genera, ends) -> bytes:
+    """One bridgeless piece's share of the class key: its C1 incidence key
+    and its moduli flag."""
+    blocks = _label_blocks(_cycle_labels(len(genera), ends))
+    flag = b"|m1" if _moduli_positive(genera, ends) else b"|m0"
+    return _incidence_key(genera, ends, blocks) + flag
+
+
+@lru_cache(maxsize=None)
+def _one_vertex_part(genus: int, loops: int) -> bytes:
+    """``_piece_part`` of one vertex with loops: each loop is its own C1
+    block, so the part depends on the genus and the loop count alone."""
+    return _piece_part((genus,), [(0, 0)] * loops)
+
+
+def _class_part(genera, ends) -> bytes:
+    if len(genera) == 1:
+        return _one_vertex_part(genera[0], len(ends))
+    return _piece_part(genera, ends)
+
+
+def _parts_key(parts) -> bytes:
+    return b"TK1;" + b"||".join(sorted(parts))
 
 
 def polystable_key(poly: PolystableGraph) -> bytes:
     """Class key: equal exactly for C1-equivalent unions with equal flags."""
-    parts = sorted(
-        component_class_key(piece) + (b"|m1" if _moduli_positive(piece) else b"|m0")
-        for piece in poly.components
-    )
-    return b"TK1;" + b"||".join(parts)
+    return _parts_key(_class_part(*_indexed_piece(piece)) for piece in poly.components)
 
 
 def torelli_key(graph: StableGraph) -> bytes:
@@ -444,6 +423,24 @@ class FiberVerdict:
         }
 
 
+def _stratum_key(stratum) -> tuple:
+    """(class key, ``_pst_pieces``) of one raw stratum, given as the data
+    ``contraction._raw_strata`` yields."""
+    genus, hvertex, edges, _legs = stratum
+    pieces = _pst_pieces(genus, hvertex, edges)
+    parts = []
+    for p_genus, p_hvertex, mate in pieces:
+        if len(p_genus) == 1:
+            (g,) = p_genus.values()
+            parts.append(_one_vertex_part(g, len(mate) // 2))
+            continue
+        vids = sorted(p_genus)
+        index = {v: i for i, v in enumerate(vids)}
+        ends = [(index[p_hvertex[a]], index[p_hvertex[b]]) for a, b in mate.items() if a < b]
+        parts.append(_piece_part(tuple(p_genus[v] for v in vids), ends))
+    return _parts_key(parts), pieces
+
+
 def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     """Decide whether all stable models over an axis graph share one class.
 
@@ -452,7 +449,9 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     first one; its index is the witness.  The verdict is constant when all
     keys agree and no surviving inserted vertex spans positive-dimensional
     moduli (3*0 - 3 + valence > 0).  Any mismatch or such a remnant makes
-    the class vary across the fiber; a mismatch takes precedence.
+    the class vary across the fiber; a mismatch takes precedence.  Strata
+    are keyed on raw data; only stratum 0 is built as a ``StableGraph``,
+    which runs the structural checks once per fiber.
     """
     cls = classify_axis_points(axis)
     if not cls.is_axis_like:
@@ -462,9 +461,10 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
         raise DomainError("genus-zero axis graphs have no class")
     first = None
     remnant = None
-    for i, (graph, inserted, _) in enumerate(iter_fiber_strata(axis)):
-        poly = pst(graph)
-        key = polystable_key(poly)
+    for i, (stratum, inserted, _) in enumerate(_raw_strata(axis)):
+        if not i:
+            StableGraph(*stratum)  # the structural checks, once per fiber
+        key, pieces = _stratum_key(stratum)
         if first is None:
             first = key
         elif key != first:
@@ -475,10 +475,15 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
                 (0, i),
             )
         if remnant is None:
-            for piece in poly.components:
-                for v in piece.vertices():
-                    if v in inserted and piece.valence(v) > 3:
-                        remnant = (v, piece.valence(v))
+            # the last surviving inserted vertex of valence > 3 in the
+            # first stratum that has one, as the oracle reports it
+            for p_genus, p_hvertex, _ in pieces:
+                if inserted.isdisjoint(p_genus):
+                    continue
+                valence = Counter(p_hvertex.values())
+                for v in sorted(p_genus):
+                    if v in inserted and valence[v] > 3:
+                        remnant = (v, valence[v])
     if remnant is not None:
         v, val = remnant
         return FiberVerdict(

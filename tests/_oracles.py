@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from torelli_graphs import Degeneration, DomainError, StableGraph
+from torelli_graphs import Degeneration, DomainError, StableGraph, c1_sets
 from torelli_graphs.enumeration import check_type, raw_contract
 from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
@@ -439,6 +440,149 @@ def random_order_stabilize_keys(graph: StableGraph, rng: random.Random):
                 del hvertex[x]
                 del mate[x]
             del genus[v]
+
+
+# ---------------------------------------------------------------------------
+# C1-equivalence by direct search, the judge of class keys.
+# ---------------------------------------------------------------------------
+
+def _block_degrees(graph, block) -> dict:
+    """Halfedges at each vertex lying in the block's edges."""
+    deg: Counter = Counter()
+    for a, b in block:
+        deg[graph.vertex_of(a)] += 1
+        deg[graph.vertex_of(b)] += 1
+    return dict(deg)
+
+
+def _c1_flat_data(poly):
+    """Flatten to indexed vertices and blocks.
+
+    Returns (verts, blocks, profile_of) with verts a list of
+    (component index, vertex id, genus, valence), blocks a list of
+    (size, {vertex index: halfedge count}), and profile_of[i] the sorted
+    (count, size) multiset of blocks at vertex i.
+    """
+    verts = []
+    vindex = {}
+    for ci, c in enumerate(poly.components):
+        for v in sorted(c.vertices()):
+            vindex[(ci, v)] = len(verts)
+            verts.append((ci, v, c.vertex_genus(v), c.valence(v)))
+    blocks = []
+    for ci, c in enumerate(poly.components):
+        for block in c1_sets(c).blocks:
+            deg = _block_degrees(c, block)
+            blocks.append(
+                (len(block), {vindex[(ci, v)]: d for v, d in deg.items()})
+            )
+    profile_of = [[] for _ in verts]
+    for size, deg in blocks:
+        for i, d in deg.items():
+            profile_of[i].append((d, size))
+    return verts, blocks, [tuple(sorted(p)) for p in profile_of]
+
+
+def c1_equivalent(a, b):
+    """Search for a genus-preserving vertex bijection matching the C1 data.
+
+    The bijection must transport every block's per-vertex halfedge counts
+    onto some block of the other side, bijectively on blocks; the edge
+    pairings within a block are free to differ.  Returns (True, witness) or
+    (False, None); the witness maps (component index, vertex id) pairs.
+    """
+    averts, ablocks, aprof = _c1_flat_data(a)
+    bverts, bblocks, bprof = _c1_flat_data(b)
+    if len(averts) != len(bverts) or len(ablocks) != len(bblocks):
+        return False, None
+
+    asig = [(averts[i][2], averts[i][3], aprof[i]) for i in range(len(averts))]
+    bsig = [(bverts[j][2], bverts[j][3], bprof[j]) for j in range(len(bverts))]
+    by_sig: dict = {}
+    for j, s in enumerate(bsig):
+        by_sig.setdefault(s, []).append(j)
+    if Counter(asig) != Counter(bsig):
+        return False, None
+
+    target = Counter(
+        (size, tuple(sorted(deg.items()))) for size, deg in bblocks
+    )
+    order = sorted(range(len(averts)), key=lambda i: (asig[i], i))
+    assign = [-1] * len(averts)
+    used = [False] * len(bverts)
+
+    def leaf_check() -> bool:
+        got = Counter(
+            (size, tuple(sorted((assign[i], d) for i, d in deg.items())))
+            for size, deg in ablocks
+        )
+        return got == target
+
+    def search(pos) -> bool:
+        if pos == len(order):
+            return leaf_check()
+        i = order[pos]
+        for j in by_sig[asig[i]]:
+            if not used[j]:
+                used[j] = True
+                assign[i] = j
+                if search(pos + 1):
+                    return True
+                used[j] = False
+                assign[i] = -1
+        return False
+
+    if not search(0):
+        return False, None
+    witness = {
+        (averts[i][0], averts[i][1]): (bverts[assign[i]][0], bverts[assign[i]][1])
+        for i in range(len(averts))
+    }
+    return True, witness
+
+
+# ---------------------------------------------------------------------------
+# Axis graphs through their star expansion.
+# ---------------------------------------------------------------------------
+
+def star_expansion(axis):
+    """Expand every hyperedge of an axis graph to a star around a fresh
+    sentinel vertex of the point's genus, carrying its absorbed legs.
+
+    Returns (graph, tags): tags mark sentinels (1) apart from genuine
+    components (0), by vertex id.
+    """
+    vertices = {}
+    tags = {}
+    legs = {}
+    for cid in axis.components():
+        vid = ("c", cid)
+        vertices[vid] = axis.component_genus(cid)
+        tags[vid] = 0
+        for lab in axis.component_legs(cid):
+            legs[lab] = vid
+    edges = []
+    for i, p in enumerate(axis.singular_points()):
+        svid = ("s", i)
+        vertices[svid] = p.genus
+        tags[svid] = 1
+        for lab in p.absorbed_legs:
+            legs[lab] = svid
+        for cid, _sid in p.slots:
+            edges.append((svid, ("c", cid)))
+    return StableGraph.build(vertices, edges, legs), tags
+
+
+def star_genus(axis) -> int:
+    return star_expansion(axis)[0].genus()
+
+
+def star_canonical_key(axis) -> bytes:
+    """The ``AX1`` key of an axis graph: the tagged canonical key of its
+    star expansion."""
+    graph, tags = star_expansion(axis)
+    raw, vids = graph.to_raw()
+    return b"AX1;" + canonicalize_raw(raw, tags=tuple(tags[v] for v in vids)).key
 
 
 # ---------------------------------------------------------------------------

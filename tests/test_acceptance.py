@@ -18,7 +18,6 @@ from torelli_graphs import (
     SEPARATING_BRIDGES,
     SingularPoint,
     StableGraph,
-    c1_equivalent,
     classify_axis_points,
     classify_bridge,
     contract_edges,
@@ -37,6 +36,7 @@ from torelli_graphs import (
 from torelli_graphs.graph_core import DomainError
 
 from _oracles import (
+    c1_equivalent,
     brute_force_catalog_keys,
     genus_zero_catalog_size,
     leg_insertion_catalog_keys,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import torelli_graphs.cli as cli_module
 from torelli_graphs import AxisGraph, SingularPoint, StableGraph
 from torelli_graphs.cli import main, load_or_enumerate
 
@@ -80,6 +81,49 @@ class TestEnumerateCmd:
         assert len(files) == 1
         cat2 = load_or_enumerate(1, 2)
         assert cat1.keys == cat2.keys
+
+    @pytest.mark.parametrize("damage", ["truncated", "count", "bound", "keys"])
+    def test_damaged_cache_regenerated(self, tmp_path, monkeypatch, damage):
+        monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
+        want = load_or_enumerate(1, 2).keys
+        (path,) = (tmp_path / "c").iterdir()
+        text = path.read_text()
+        data = json.loads(text)
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        else:
+            if damage == "count":
+                data["count"] += 1
+            elif damage == "bound":
+                data["bound"] += 1
+            else:
+                data["keys"] = data["keys"][1:]
+            path.write_text(json.dumps(data))
+        calls = []
+        enumerate_stable_graphs = cli_module.enumerate_stable_graphs
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_stable_graphs(*args)
+
+        monkeypatch.setattr(cli_module, "enumerate_stable_graphs", counting)
+        assert load_or_enumerate(1, 2).keys == want
+        assert len(calls) == 1
+        # the rewritten file is whole again and no temporary file is left
+        assert [p.name for p in (tmp_path / "c").iterdir()] == [path.name]
+        assert json.loads(path.read_text())["count"] == len(want)
+        assert load_or_enumerate(1, 2).keys == want
+        assert len(calls) == 1
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
+
+        def failing(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli_module.os, "replace", failing)
+        assert len(load_or_enumerate(1, 2)) == 5
+        assert list((tmp_path / "c").iterdir()) == []
 
 
 class TestVerifyAssignmentCmd:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -18,7 +19,9 @@ from torelli_graphs import (
     z_contract,
 )
 
-from _oracles import stable_tree_count
+from torelli_graphs.graph_core import MAX_GENUS
+
+from _oracles import stable_tree_count, star_canonical_key, star_genus
 
 
 def r_shape():
@@ -47,6 +50,20 @@ class TestLeafTrees:
     def test_agrees_with_catalog_route(self, catalog):
         assert {t.canonical_key() for t in leaf_labeled_trees(5)} == \
             set(catalog(0, 5).keys)
+
+    def test_order_and_numbering_pinned(self):
+        # sha256 over the JSON of every tree, m = 3..8 in menu order, as
+        # the generator that built each candidate as a StableGraph gave them
+        digest = hashlib.sha256()
+        try:
+            for m in range(3, 9):
+                for t in leaf_labeled_trees(m):
+                    digest.update(json.dumps(t.to_json_dict(), sort_keys=True).encode())
+        finally:
+            leaf_labeled_trees.cache_clear()  # 39208 graphs for m = 8
+        assert digest.hexdigest() == (
+            "809e7a058ba6e87288921521ade33ee1e74eebdaf97dc8e68067d5cb63c0d4ca"
+        )
 
 
 class TestZContract:
@@ -228,6 +245,15 @@ class TestAxisGraphType:
         with pytest.raises(StructuralError):
             AxisGraph([(0, 2, []), (1, 2, [])], [])
 
+    def test_genus_out_of_range_rejected(self):
+        # the bound the star expansion's StableGraph used to enforce
+        for comps, points in [
+            ([(0, MAX_GENUS + 1, [])], []),
+            ([(0, 1, []), (1, 1, [])], [SingularPoint(MAX_GENUS + 1, ((0, 0), (1, 0)))]),
+        ]:
+            with pytest.raises(StructuralError):
+                AxisGraph(comps, points)
+
     def test_json_roundtrip(self):
         axis = z_contract(r_shape(), {0})
         data = json.loads(json.dumps(axis.to_json_dict()))
@@ -240,6 +266,29 @@ class TestAxisGraphType:
         data["genus"] = 99
         with pytest.raises(StructuralError):
             AxisGraph.from_json_dict(data)
+
+    def test_genus_and_key_match_star_expansion(self, catalog):
+        axes = []
+        for gn in [(2, 3), (3, 0), (1, 5)]:
+            for g in catalog(*gn).graphs():
+                chosen = separating_bridge_assignment(g)
+                if chosen:
+                    axes.append(z_contract(g, chosen))
+        assert len(axes) == 201
+        # legs on components and on points, and points of positive genus
+        rng = random.Random(11)
+        for g in catalog(1, 4).graphs():
+            chosen = [v for v in g.vertices() if rng.random() < 0.4]
+            if chosen and len(chosen) < len(g.vertices()):
+                try:
+                    axes.append(z_contract(g, chosen))
+                except DomainError:
+                    pass
+        assert any(a.absorbed_legs() for a in axes)
+        assert any(p.genus for a in axes for p in a.singular_points())
+        for axis in axes:
+            assert axis.genus() == star_genus(axis)
+            assert axis.canonical_key() == star_canonical_key(axis)
 
     def test_canonical_distinguishes_sentinels(self):
         # one genus-0 component glued at a 3-axis point versus the star

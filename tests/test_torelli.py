@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -10,9 +11,10 @@ from torelli_graphs import (
     PolystableGraph,
     SingularPoint,
     StableGraph,
-    c1_equivalent,
     c1_sets,
+    component_class_key,
     fiber_constant,
+    fiber_strata,
     polystable_key,
     pst,
     stabilize,
@@ -24,6 +26,7 @@ from torelli_graphs import (
 )
 
 from _oracles import (
+    c1_equivalent,
     exhaustive_fiber_verdict,
     naive_separating_edges,
     random_order_stabilize_keys,
@@ -373,6 +376,26 @@ class TestSymmetricFamilies:
             assert len(calls) <= c
 
 
+class TestOneVertexPieces:
+    def test_memo_matches_component_class_key(self):
+        for g in range(5):
+            for loops in range(7):
+                piece = StableGraph.build({0: g}, [(0, 0)] * loops)
+                flag = b"|m1" if 3 * g - 3 + 2 * loops > 0 else b"|m0"
+                assert torelli_module._one_vertex_part(g, loops) == \
+                    component_class_key(piece) + flag
+
+    def test_polystable_key_of_one_vertex_pieces(self):
+        # the memo serves polystable_key too
+        spec = [(1, 0), (0, 1), (2, 3), (1, 2)]
+        pieces = tuple(StableGraph.build({0: g}, [(0, 0)] * loops) for g, loops in spec)
+        parts = sorted(
+            component_class_key(p) + (b"|m1" if 3 * g - 3 + 2 * loops > 0 else b"|m0")
+            for p, (g, loops) in zip(pieces, spec)
+        )
+        assert polystable_key(PolystableGraph(pieces)) == b"TK1;" + b"||".join(parts)
+
+
 class TestFiberConstant:
     def test_separating_four_axis_constant(self):
         axis = AxisGraph(
@@ -466,25 +489,31 @@ def slot_orders(profiles):
     return [(p, r) for p in profiles for r in (False, True)[: 2 if sum(p) == 5 else 1]]
 
 
+def fiber_constant_axes(catalog):
+    """The axes of ``TestFiberConstant``, and the rule-F contractions of
+    every (3,0) and (2,2) graph."""
+    axes = [
+        AxisGraph([(i, 1, []) for i in range(4)],
+                  [SingularPoint(0, ((0, 0), (1, 0), (2, 0), (3, 0)))]),
+        AxisGraph([(0, 1, [])],
+                  [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (0, 3)))]),
+        # the (2,2) profile, whose keys differ at stratum 1
+        AxisGraph([(0, 1, []), (1, 1, [])],
+                  [SingularPoint(0, ((0, 0), (0, 1), (1, 0), (1, 1)))]),
+        AxisGraph([(0, 2, []), (1, 1, [])],
+                  [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (1, 0)))]),
+    ]
+    for gn in [(3, 0), (2, 2)]:
+        for g in catalog(*gn).graphs():
+            axes.append(z_contract(g, separating_bridge_assignment(g)))
+    return axes
+
+
 class TestFiberEarlyExit:
     """The streaming check must give the verdict of keying the whole fiber."""
 
     def test_matches_exhaustive_on_fiber_constant_axes(self, catalog):
-        axes = [
-            AxisGraph([(i, 1, []) for i in range(4)],
-                      [SingularPoint(0, ((0, 0), (1, 0), (2, 0), (3, 0)))]),
-            AxisGraph([(0, 1, [])],
-                      [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (0, 3)))]),
-            # the (2,2) profile, whose keys differ at stratum 1
-            AxisGraph([(0, 1, []), (1, 1, [])],
-                      [SingularPoint(0, ((0, 0), (0, 1), (1, 0), (1, 1)))]),
-            AxisGraph([(0, 2, []), (1, 1, [])],
-                      [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (1, 0)))]),
-        ]
-        for gn in [(3, 0), (2, 2)]:
-            for g in catalog(*gn).graphs():
-                axes.append(z_contract(g, separating_bridge_assignment(g)))
-        for axis in axes:
+        for axis in fiber_constant_axes(catalog):
             assert fiber_constant(axis) == exhaustive_fiber_verdict(axis)
 
     @pytest.mark.parametrize("profile, reverse", slot_orders(GENERAL_PROFILES))
@@ -501,15 +530,50 @@ class TestFiberEarlyExit:
         assert verdict.constant
         assert verdict == exhaustive_fiber_verdict(axis)
 
+    def test_raw_strata_match_fiber_strata(self, catalog):
+        axes = fiber_constant_axes(catalog) + [
+            profile_axis(profile, reverse)
+            for profile, reverse in slot_orders(GENERAL_PROFILES + QUASI_SEPARATING_PROFILES)
+        ]
+        # sha256 over the JSON of every stratum with its inserted vertices
+        # and choice, as the fiber code gave them when it built a
+        # StableGraph for every stratum
+        digest = hashlib.sha256()
+        count = 0
+        for axis in axes:
+            fs = fiber_strata(axis)
+            raw = list(torelli_module._raw_strata(axis))
+            assert len(raw) == fs.total
+            for (stratum, inserted, choice), graph, ins, ch in zip(
+                raw, fs.graphs, fs.inserted_vertices, fs.choices
+            ):
+                genus, hvertex, edges, legs = stratum
+                data = graph.to_json_dict()
+                assert data == {
+                    "vertices": [{"id": v, "genus": genus[v]} for v in sorted(genus)],
+                    "halfedges": [{"id": h, "vertex": hvertex[h]} for h in sorted(hvertex)],
+                    "edges": sorted([min(e), max(e)] for e in edges),
+                    "legs": {str(lab): h for lab, h in sorted(legs.items())},
+                }
+                assert (inserted, choice) == (ins, ch)
+                digest.update(json.dumps([data, sorted(ins), list(ch)], sort_keys=True).encode())
+                digest.update(b"\n")
+                count += 1
+        assert (len(axes), count) == (146, 3093)
+        assert digest.hexdigest() == (
+            "51b9cd009bc7f2a0eed4ff6773455a61c265f036851c53f83f236af068efce6d"
+        )
+
     @pytest.mark.parametrize("profile", [(2, 2, 1), (2, 2, 1, 1), (4, 1, 1)])
     def test_keys_stop_at_witness(self, profile, monkeypatch):
         calls = []
+        stratum_key = torelli_module._stratum_key
 
-        def counting_pst(graph):
-            calls.append(graph)
-            return pst(graph)
+        def counting_stratum_key(stratum):
+            calls.append(stratum)
+            return stratum_key(stratum)
 
-        monkeypatch.setattr(torelli_module, "pst", counting_pst)
+        monkeypatch.setattr(torelli_module, "_stratum_key", counting_stratum_key)
         verdict = fiber_constant(profile_axis(profile))
         _, i = verdict.witness
         assert verdict.reason == "fiber strata have differing class keys"
