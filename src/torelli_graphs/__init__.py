@@ -14,8 +14,6 @@ from .enumeration import (
     BoundExceededError,
     Degeneration,
     GraphCatalog,
-    contract_edges,
-    degenerations_between,
     enumerate_stable_graphs,
     iter_degenerations,
 )

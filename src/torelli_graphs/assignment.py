@@ -10,7 +10,6 @@ any use.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -21,6 +20,7 @@ from .graph_core import (
     StructuralError,
     bridge_edge_indices,
     canonicalize_raw,
+    connected_components,
     raw_from_key,
 )
 from .enumeration import GraphCatalog, iter_degenerations
@@ -53,6 +53,18 @@ def profile_category(profile: tuple) -> str:
     return GENERAL
 
 
+def branch_profile(vertices, pairs, ends) -> tuple:
+    """Profile of a bridge or singular point: how many of its branch
+    ``ends`` land on each component of the complement, given as the graph
+    on ``vertices`` with an edge for each pair, largest first."""
+    comps = connected_components(vertices, pairs)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    counts = [0] * len(comps)
+    for v in ends:
+        counts[comp_of[v]] += 1
+    return tuple(sorted([c for c in counts if c], reverse=True))
+
+
 @dataclass(frozen=True)
 class BridgeRecord:
     """One rational multibridge: a legless tree of genus-zero vertices.
@@ -80,7 +92,9 @@ def classify_bridge(graph: StableGraph, vertices: Iterable) -> BridgeRecord | No
 
     The subset must induce a connected legless tree of genus-zero vertices
     (complete-subgraph convention, so loops and internal cycles disqualify)
-    whose vertices all have total valence at least three.
+    whose vertices all have total valence at least three.  It stays public
+    as the paper's classification of rational multibridges, the reference
+    that rule F and the axis-point categories are tested against.
     """
     sub = frozenset(vertices)
     if not sub or not sub <= set(graph.vertices()):
@@ -93,7 +107,8 @@ def classify_bridge(graph: StableGraph, vertices: Iterable) -> BridgeRecord | No
         if graph.valence(v) < 3:
             return None
     internal = []
-    attaching = []
+    outside = []
+    far_ends = []  # the outside end of each attaching edge
     for e in graph.edges():
         u, w = graph.edge_vertices(e)
         if u in sub and w in sub:
@@ -101,43 +116,23 @@ def classify_bridge(graph: StableGraph, vertices: Iterable) -> BridgeRecord | No
                 return None  # loop: positive genus
             internal.append((u, w))
         elif u in sub or w in sub:
-            attaching.append(e)
-    if len(internal) != len(sub) - 1 or len(graph.induced_components(sub)) != 1:
+            far_ends.append(w if u in sub else u)
+        else:
+            outside.append((u, w))
+    if len(internal) != len(sub) - 1 or len(connected_components(sub, internal)) != 1:
         return None  # not a tree
-    m = len(attaching)
-    if m == 0:
+    if not far_ends:
         return None
-    profile = _attachment_profile(graph, sub, attaching)
-    return BridgeRecord(sub, m, profile_category(profile), profile)
-
-
-def _attachment_profile(graph, sub, attaching) -> tuple:
-    outside = [v for v in graph.vertices() if v not in sub]
-    comp_of = {v: v for v in outside}
-
-    def find(v):
-        while comp_of[v] != v:
-            comp_of[v] = comp_of[comp_of[v]]
-            v = comp_of[v]
-        return v
-
-    for e in graph.edges():
-        u, w = graph.edge_vertices(e)
-        if u not in sub and w not in sub and u != w:
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                comp_of[ru] = rw
-    counts: dict = {}
-    for e in attaching:
-        u, w = graph.edge_vertices(e)
-        far = w if u in sub else u
-        r = find(far)
-        counts[r] = counts.get(r, 0) + 1
-    return tuple(sorted(counts.values(), reverse=True))
+    profile = branch_profile(
+        [v for v in graph.vertices() if v not in sub], outside, far_ends
+    )
+    return BridgeRecord(sub, len(far_ends), profile_category(profile), profile)
 
 
 def rational_multibridges(graph: StableGraph) -> BridgeReport:
-    """All maximal rational multibridges, by exhaustive connected-subset search."""
+    """All maximal rational multibridges, by exhaustive connected-subset
+    search.  Public with ``classify_bridge``: the paper's multibridge
+    classification of a whole graph."""
     candidates = [
         v
         for v in graph.vertices()
@@ -163,51 +158,34 @@ def rational_multibridges(graph: StableGraph) -> BridgeReport:
 
 
 def separating_bridge_assignment(graph: StableGraph) -> frozenset:
-    """Union of the vertex sets of all separating rational multibridges.
+    """Rule F: the union of the vertex sets of all separating rational
+    multibridges of a stable graph (see ``_raw_separating_assignment``)."""
+    raw, vids = graph.to_raw()
+    mask = _raw_separating_assignment(raw)
+    return frozenset(v for i, v in enumerate(vids) if mask >> i & 1)
+
+
+def _raw_separating_assignment(raw) -> int:
+    """Rule F on a raw stable graph, as a bitmask of vertex indices.
 
     A vertex lies in some separating bridge exactly when it is a legless
     loop-free genus-zero vertex all of whose edges separate: each such
     vertex is itself a one-vertex separating bridge, and inside a separating
     bridge every complement piece hangs off a single edge, so every incident
-    edge separates.
+    edge separates.  Loops never separate, so one test covers loops and
+    cycle edges.
     """
-    sep = graph.separating_edges()
-    # loops never separate, so one test covers loops and cycle edges
-    blocked = {graph.vertex_of(h) for h in graph.legs.values()}
-    blocked.update(graph.vertex_of(h) for h in graph.branch_points())
-    for e in graph.edges():
-        if e not in sep:
-            blocked.update(graph.edge_vertices(e))
-    return frozenset(
-        v for v in graph.vertices() if not graph.vertex_genus(v) and v not in blocked
-    )
-
-
-def _raw_separating_assignment(raw) -> int:
-    """Bitmask version of the separating-bridge rule for canonical raws."""
     genera, legs, branch, edges = raw
-    k = len(genera)
-    bridges = bridge_edge_indices(k, edges)
-    blocked = bytearray(k)
-    for i, g in enumerate(genera):
-        if g or branch[i]:
-            blocked[i] = 1
+    bridges = bridge_edge_indices(len(genera), edges)
+    blocked = [bool(g or b) for g, b in zip(genera, branch)]
     for _, v in legs:
-        blocked[v] = 1
-    incident_ok = [True] * k
+        blocked[v] = True
     for idx, (u, v) in enumerate(edges):
-        if u == v:
-            blocked[u] = 1
-        elif idx not in bridges:
-            incident_ok[u] = incident_ok[v] = False
-    degree = [0] * k
-    for u, v in edges:
-        degree[u] += 1
-        if u != v:
-            degree[v] += 1
+        if idx not in bridges:
+            blocked[u] = blocked[v] = True
     mask = 0
-    for v in range(k):
-        if not blocked[v] and incident_ok[v] and degree[v]:
+    for v, b in enumerate(blocked):
+        if not b:
             mask |= 1 << v
     return mask
 
@@ -456,7 +434,8 @@ def verify_extremal(
 
 def is_z_quasi_separating(graph: StableGraph, assignment: ExtremalAssignment) -> bool:
     """True when every connected component of the assigned subgraph is a
-    separating or quasi-separating rational multibridge."""
+    separating or quasi-separating rational multibridge.  Public as the
+    paper's test for the axis-like locus of an assignment Z."""
     for comp in graph.induced_components(assignment.value(graph)):
         rec = classify_bridge(graph, comp)
         if rec is None or rec.category == GENERAL:

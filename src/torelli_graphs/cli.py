@@ -20,7 +20,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from . import __version__
-from .graph_core import DomainError, GraphError, StableGraph
+from .graph_core import DomainError, GraphError, StableGraph, StructuralError
 from .enumeration import (
     DEFAULT_BOUND,
     GraphCatalog,
@@ -132,7 +132,7 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
                 return GraphCatalog.from_keys(
                     genus, markings, [k.encode("ascii") for k in keys]
                 )
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
+        except (ValueError, KeyError, TypeError, AttributeError, OSError, RecursionError):
             pass  # fall through and regenerate
     catalog = enumerate_stable_graphs(genus, markings, bound)
     text = json.dumps(
@@ -167,8 +167,13 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
 # ---------------------------------------------------------------------------
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise StructuralError(f"{path}: JSON nested too deeply") from exc
 
 
 def _resolve_assignment(name_or_path: str, catalog: GraphCatalog | None) -> ExtremalAssignment:

@@ -21,9 +21,9 @@ from .graph_core import (
     StableGraph,
     StructuralError,
     canonicalize_raw,
-    is_connected_edges,
+    connected_components,
 )
-from .assignment import GENERAL, SEPARATING, profile_category
+from .assignment import GENERAL, SEPARATING, branch_profile, profile_category
 
 NODE = "node"
 
@@ -40,6 +40,11 @@ class SingularPoint:
     @property
     def multiplicity(self) -> int:
         return len(self.slots)
+
+
+def _glue(points) -> list:
+    """Component pairs joining the first slot of each point to its others."""
+    return [(p.slots[0][0], c) for p in points for c, _ in p.slots[1:]]
 
 
 class AxisGraph:
@@ -84,13 +89,7 @@ class AxisGraph:
         self._legs = legs
         self._points = tuple(points)
         self._canon = None
-        cid_list = sorted(comp)
-        idx = {c: i for i, c in enumerate(cid_list)}
-        glue = []
-        for p in points:
-            cids = [idx[c] for c, _ in p.slots]
-            glue += [(cids[0], c) for c in cids[1:]]
-        if not is_connected_edges(len(cid_list), glue):
+        if len(connected_components(comp, _glue(points))) != 1:
             raise StructuralError("axis graph is not connected")
 
     # -- accessors ----------------------------------------------------------
@@ -189,12 +188,13 @@ class AxisGraph:
                         g, slots, tuple(int(l) for l in p.get("absorbed_legs", []))
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+            recorded = int(data["genus"]) if "genus" in data else None
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(f"bad axis JSON: {exc}") from exc
         axis = cls(comps, pts)
-        if "genus" in data and int(data["genus"]) != axis.genus():
+        if recorded is not None and recorded != axis.genus():
             raise StructuralError(
-                f"recorded genus {data['genus']} != computed {axis.genus()}"
+                f"recorded genus {recorded} != computed {axis.genus()}"
             )
         return axis
 
@@ -292,37 +292,16 @@ def classify_axis_points(axis: AxisGraph) -> AxisClassification:
     component with two or three slots.
     """
     cids = axis.components()
-    idx = {c: i for i, c in enumerate(cids)}
+    points = axis.singular_points()
     records = []
-    for i, p in enumerate(axis.singular_points()):
-        glue = []
-        for j, q in enumerate(axis.singular_points()):
-            if j == i:
-                continue
-            spots = [idx[c] for c, _ in q.slots]
-            glue += [(spots[0], c) for c in spots[1:]]
-        comp_of = list(range(len(cids)))
-
-        def find(x):
-            while comp_of[x] != x:
-                comp_of[x] = comp_of[comp_of[x]]
-                x = comp_of[x]
-            return x
-
-        for a, b in glue:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                comp_of[ra] = rb
-        counts: dict = {}
-        for c, _sid in p.slots:
-            r = find(idx[c])
-            counts[r] = counts.get(r, 0) + 1
-        profile = tuple(sorted(counts.values(), reverse=True))
+    for i, p in enumerate(points):
+        others = _glue(points[:i] + points[i + 1:])
+        profile = branch_profile(cids, others, [c for c, _ in p.slots])
         category = NODE if p.multiplicity == 2 else profile_category(profile)
         records.append(
             AxisPointClass(i, p.multiplicity, p.genus, category, profile)
         )
-    axis_like = all(p.genus == 0 for p in axis.singular_points()) and not axis.absorbed_legs()
+    axis_like = all(p.genus == 0 for p in points) and not axis.absorbed_legs()
     seps = all(r.category in (NODE, SEPARATING) for r in records)
     qseps = all(r.category != GENERAL for r in records)
     return AxisClassification(

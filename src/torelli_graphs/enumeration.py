@@ -195,6 +195,8 @@ def raw_contract(raw: Raw, edge_indices) -> tuple:
         return _contract_one(raw, next(iter(contracted)))
     genera, legs, branch, edges = raw
     k = len(genera)
+    # its own union-find, not connected_components: the child's vertex
+    # order follows the sorted roots, and the pinned witness maps with it
     parent = list(range(k))
 
     def find(x):
@@ -278,32 +280,6 @@ def _contract_one(raw: Raw, idx: int) -> tuple:
         tuple(new_edges),
     )
     return child, classes
-
-
-def contract_edges(graph: StableGraph, edges) -> StableGraph:
-    """Contract edges of a graph: endpoints merge (genera add), loops are
-    deleted and bump their vertex's genus.  Total genus is preserved."""
-    todo = []
-    eset = {e: i for i, e in enumerate(graph.edges())}
-    for e in edges:
-        e = tuple(sorted(e))
-        if e not in eset:
-            raise DomainError(f"unknown edge {e}")
-        todo.append(e)
-    if not todo:
-        return graph
-    raw, vids = graph.to_raw()
-    # raw edges are sorted; recover indices by vertex pairs with multiplicity
-    idx_of = {v: i for i, v in enumerate(vids)}
-    pair_pool: dict = {}
-    for i, (u, v) in enumerate(raw[3]):
-        pair_pool.setdefault((u, v), []).append(i)
-    indices = []
-    for h1, h2 in todo:
-        u, v = idx_of[graph.vertex_of(h1)], idx_of[graph.vertex_of(h2)]
-        pair = (u, v) if u <= v else (v, u)
-        indices.append(pair_pool[pair].pop())
-    return StableGraph.from_raw(raw_contract(raw, indices)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +404,3 @@ def iter_degenerations(
                 if r < n_edges:
                     level[chosen] = (i1, where)
                 yield Degeneration(keys[i1], target_key, frozenset(chosen), vmap)
-
-
-def degenerations_between(catalog: GraphCatalog) -> list:
-    """Materialized list of every degeneration record (all edge subsets)."""
-    return list(iter_degenerations(catalog, subsets="all"))

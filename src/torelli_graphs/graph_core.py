@@ -14,7 +14,7 @@ the sorted pair of their two halfedge ids.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
@@ -399,28 +399,30 @@ def raw_from_key(key: bytes) -> Raw:
 
 
 # ---------------------------------------------------------------------------
-# Connectivity and bridges on raw edge lists.
+# Connectivity and bridges.
 # ---------------------------------------------------------------------------
 
-def is_connected_edges(k: int, edges) -> bool:
-    if k == 0:
-        return False
-    seen = [False] * k
-    seen[0] = True
-    stack = [0]
-    adj = [[] for _ in range(k)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    count = 1
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                stack.append(u)
-    return count == k
+def connected_components(vertices, pairs) -> list:
+    """Vertex lists of the connected components of the graph on ``vertices``
+    with an edge for each pair, in the order of each one's first vertex in
+    ``vertices``.  Both ends of every pair must be among ``vertices``."""
+    adj: dict = {v: [] for v in vertices}
+    for u, w in pairs:
+        adj[u].append(w)
+        adj[w].append(u)
+    comps = []
+    seen: set = set()
+    for start in adj:
+        if start not in seen:
+            seen.add(start)
+            comp = [start]
+            for v in comp:
+                for u in adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+            comps.append(comp)
+    return comps
 
 
 def bridge_edge_indices(k: int, edges) -> set:
@@ -543,21 +545,7 @@ class StableGraph:
             h for h in hvertex if h not in mate and h not in legged
         )
         self._canon = None
-        adj: dict = {v: [] for v in genus}
-        for a, b in es:
-            u, w = hvertex[a], hvertex[b]
-            if u != w:
-                adj[u].append(w)
-                adj[w].append(u)
-        start = next(iter(genus))
-        reached = {start}
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in reached:
-                    reached.add(u)
-                    stack.append(u)
-        if len(reached) != len(genus):
+        if len(connected_components(genus, [(hvertex[a], hvertex[b]) for a, b in es])) != 1:
             raise StructuralError("graph is not connected")
 
     # -- builders -----------------------------------------------------------
@@ -732,24 +720,18 @@ class StableGraph:
     def induced_components(self, vertices) -> list:
         """Vertex sets of the connected components of the subgraph induced
         on ``vertices``, in the order ``set.pop`` on a set of them meets
-        the components."""
+        the components (``z_contract`` numbers its points in this order)."""
         vertices = frozenset(vertices)
-        adj: dict = {v: [] for v in vertices}
+        pairs = []
         for a, b in self._edges:
             u, w = self._hvertex[a], self._hvertex[b]
-            if u in adj and w in adj:
-                adj[u].append(w)
-                adj[w].append(u)
+            if u in vertices and w in vertices:
+                pairs.append((u, w))
+        comp_of = {v: c for c in map(set, connected_components(vertices, pairs)) for v in c}
         remaining = set(vertices)
         comps = []
         while remaining:
-            stack = [remaining.pop()]
-            comp = set(stack)
-            while stack:
-                for u in adj[stack.pop()]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
+            comp = comp_of[remaining.pop()]
             remaining -= comp
             comps.append(comp)
         return comps
@@ -780,26 +762,9 @@ class StableGraph:
     def _components(self, unpaired: set, keep_as_branch: frozenset) -> list:
         mate = {h: m for h, m in self._mate.items()
                 if h not in unpaired and m not in unpaired}
-        adj: dict = {v: set() for v in self._genus}
-        for h, m in mate.items():
-            adj[self._hvertex[h]].add(self._hvertex[m])
-        comps = []
-        seen: set = set()
-        for start in sorted(self._genus):
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for u in adj[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        queue.append(u)
-            seen |= comp
-            comps.append(comp)
+        pairs = [(self._hvertex[h], self._hvertex[m]) for h, m in mate.items()]
         out = []
-        for comp in comps:
+        for comp in connected_components(sorted(self._genus), pairs):
             vs = {v: self._genus[v] for v in comp}
             hs = []
             for v in comp:
@@ -837,7 +802,7 @@ class StableGraph:
             if not isinstance(legs, dict):
                 raise StructuralError("bad graph JSON: legs must be an object")
             legs = {int(lab): int(h) for lab, h in legs.items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(f"bad graph JSON: {exc}") from exc
         return cls(vertices, halfedges, edges, legs)
 

@@ -81,6 +81,20 @@ def _graph_of(genus: dict, hvertex: dict, mate: dict) -> StableGraph:
     return StableGraph(genus, hvertex, [(h, m) for h, m in mate.items() if h < m], {})
 
 
+def _as_dicts(graph: StableGraph) -> tuple:
+    """A graph as vertex -> genus, halfedge -> vertex and the halfedge
+    pairing: the data the dict-based steps below work on."""
+    mate = {}
+    for a, b in graph.edges():
+        mate[a] = b
+        mate[b] = a
+    return (
+        {v: graph.vertex_genus(v) for v in graph.vertices()},
+        {h: graph.vertex_of(h) for h in graph.halfedges()},
+        mate,
+    )
+
+
 def stabilize_component(graph: StableGraph) -> StableGraph:
     """Contract rational tails and bridges until none remain.
 
@@ -92,15 +106,7 @@ def stabilize_component(graph: StableGraph) -> StableGraph:
     """
     if graph.legs or graph.branch_points():
         raise DomainError("stabilization input must carry no legs or branch points")
-    mate = {}
-    for a, b in graph.edges():
-        mate[a] = b
-        mate[b] = a
-    return _graph_of(*_stabilized(
-        {v: graph.vertex_genus(v) for v in graph.vertices()},
-        {h: graph.vertex_of(h) for h in graph.halfedges()},
-        mate,
-    ))
+    return _graph_of(*_stabilized(*_as_dicts(graph)))
 
 
 def stabilize(components) -> "PolystableGraph":
@@ -139,11 +145,8 @@ class PolystableGraph:
         for c in comps:
             if c.legs or c.branch_points():
                 raise DomainError("polystable pieces carry no legs or branch points")
-            _check_piece(
-                {v: c.vertex_genus(v) for v in c.vertices()},
-                {h: c.vertex_of(h) for h in c.halfedges()},
-                len(c.edges()),
-            )
+            genus, hvertex, _ = _as_dicts(c)
+            _check_piece(genus, hvertex, len(c.edges()))
         self.components = comps
 
     @classmethod
@@ -162,28 +165,12 @@ class PolystableGraph:
     def moduli_positive_flags(self) -> tuple:
         """Per component (in sorted order): some vertex has 3g - 3 + valence > 0."""
         return tuple(
-            _moduli_positive(*_indexed_piece(c)) for c in self.sorted_components()
+            any(3 * c.vertex_genus(v) - 3 + c.valence(v) > 0 for v in c.vertices())
+            for c in self.sorted_components()
         )
 
     def __repr__(self):
         return f"PolystableGraph({[c.genus() for c in self.components]})"
-
-
-def _indexed_edges(graph: StableGraph) -> tuple:
-    """(vertex ids in order, each edge of ``graph.edges()`` as a pair of
-    vertex indices)."""
-    vids = graph.vertices()
-    index = {v: i for i, v in enumerate(vids)}
-    ends = [
-        (index[graph.vertex_of(a)], index[graph.vertex_of(b)]) for a, b in graph.edges()
-    ]
-    return vids, ends
-
-
-def _indexed_piece(piece: StableGraph) -> tuple:
-    """(genus of each vertex in id order, edges as vertex index pairs)."""
-    vids, ends = _indexed_edges(piece)
-    return tuple(piece.vertex_genus(v) for v in vids), ends
 
 
 def _pst_pieces(genus: dict, hvertex: dict, edges) -> list:
@@ -199,6 +186,8 @@ def _pst_pieces(genus: dict, hvertex: dict, edges) -> list:
     ends = [(index[hvertex[a]], index[hvertex[b]]) for a, b in edges]
     bridges = bridge_edge_indices(len(vids), ends)
     kept = [i for i in range(len(ends)) if i not in bridges]
+    # its own search on index lists, not connected_components: this is the
+    # inner loop of the fiber check, which the dict-based one slows by ~8%
     adj = [[] for _ in vids]
     for i in kept:
         u, w = ends[i]
@@ -234,11 +223,8 @@ def pst(graph: StableGraph) -> PolystableGraph:
     """Forget markings, normalize at all separating edges, stabilize, and
     drop the genus-zero pieces.  Vertex and halfedge ids of survivors are
     preserved; pieces come in the order of their smallest vertex id."""
-    pieces = _pst_pieces(
-        {v: graph.vertex_genus(v) for v in graph.vertices()},
-        {h: graph.vertex_of(h) for h in graph.halfedges()},
-        graph.edges(),
-    )
+    genus, hvertex, _ = _as_dicts(graph)
+    pieces = _pst_pieces(genus, hvertex, graph.edges())
     return PolystableGraph._from_checked(tuple(_graph_of(*p) for p in pieces))
 
 
@@ -307,8 +293,11 @@ def _label_blocks(labels) -> list:
 
 
 def _c1_blocks(graph: StableGraph) -> tuple:
-    """(vertex ids, indexed edges, C1 blocks as lists of edge indices)."""
-    vids, ends = _indexed_edges(graph)
+    """(vertex ids in order, each edge of ``graph.edges()`` as a pair of
+    vertex indices, C1 blocks as lists of edge indices)."""
+    vids = graph.vertices()
+    index = {v: i for i, v in enumerate(vids)}
+    ends = [(index[graph.vertex_of(a)], index[graph.vertex_of(b)]) for a, b in graph.edges()]
     labels = _cycle_labels(len(vids), ends)
     if not all(labels):
         bridge = min(e for e, lab in zip(graph.edges(), labels) if not lab)
@@ -377,26 +366,35 @@ def _one_vertex_part(genus: int, loops: int) -> bytes:
     return _piece_part((genus,), [(0, 0)] * loops)
 
 
-def _class_part(genera, ends) -> bytes:
-    if len(genera) == 1:
-        return _one_vertex_part(genera[0], len(ends))
-    return _piece_part(genera, ends)
-
-
-def _parts_key(parts) -> bytes:
+def _pieces_key(pieces) -> bytes:
+    """Class key of polystable pieces, each given as vertex -> genus,
+    halfedge -> vertex and the halfedge pairing, as ``_pst_pieces``
+    returns them."""
+    parts = []
+    for p_genus, p_hvertex, mate in pieces:
+        if len(p_genus) == 1:
+            (g,) = p_genus.values()
+            parts.append(_one_vertex_part(g, len(mate) // 2))
+            continue
+        vids = sorted(p_genus)
+        index = {v: i for i, v in enumerate(vids)}
+        ends = [(index[p_hvertex[a]], index[p_hvertex[b]]) for a, b in mate.items() if a < b]
+        parts.append(_piece_part(tuple(p_genus[v] for v in vids), ends))
     return b"TK1;" + b"||".join(sorted(parts))
 
 
 def polystable_key(poly: PolystableGraph) -> bytes:
     """Class key: equal exactly for C1-equivalent unions with equal flags."""
-    return _parts_key(_class_part(*_indexed_piece(piece)) for piece in poly.components)
+    return _pieces_key(_as_dicts(piece) for piece in poly.components)
 
 
 def torelli_key(graph: StableGraph) -> bytes:
-    """Class key of a stable graph of positive genus."""
+    """Class key of a stable graph of positive genus: the key of its
+    ``pst`` pieces, computed without building them as graphs."""
     if graph.genus() < 1:
         raise DomainError("genus-zero graphs have no class key")
-    return polystable_key(pst(graph))
+    genus, hvertex, _ = _as_dicts(graph)
+    return _pieces_key(_pst_pieces(genus, hvertex, graph.edges()))
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +421,11 @@ class FiberVerdict:
         }
 
 
-def _stratum_key(stratum) -> tuple:
-    """(class key, ``_pst_pieces``) of one raw stratum, given as the data
+def _stratum_key(stratum) -> bytes:
+    """Class key of one raw stratum, given as the data
     ``contraction._raw_strata`` yields."""
     genus, hvertex, edges, _legs = stratum
-    pieces = _pst_pieces(genus, hvertex, edges)
-    parts = []
-    for p_genus, p_hvertex, mate in pieces:
-        if len(p_genus) == 1:
-            (g,) = p_genus.values()
-            parts.append(_one_vertex_part(g, len(mate) // 2))
-            continue
-        vids = sorted(p_genus)
-        index = {v: i for i, v in enumerate(vids)}
-        ends = [(index[p_hvertex[a]], index[p_hvertex[b]]) for a, b in mate.items() if a < b]
-        parts.append(_piece_part(tuple(p_genus[v] for v in vids), ends))
-    return _parts_key(parts), pieces
+    return _pieces_key(_pst_pieces(genus, hvertex, edges))
 
 
 def fiber_constant(axis: AxisGraph) -> FiberVerdict:
@@ -447,11 +434,17 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     Strata are keyed lazily, in the order of ``fiber_strata``, and the
     check stops at the first stratum whose class key differs from the
     first one; its index is the witness.  The verdict is constant when all
-    keys agree and no surviving inserted vertex spans positive-dimensional
-    moduli (3*0 - 3 + valence > 0).  Any mismatch or such a remnant makes
-    the class vary across the fiber; a mismatch takes precedence.  Strata
-    are keyed on raw data; only stratum 0 is built as a ``StableGraph``,
-    which runs the structural checks once per fiber.
+    keys agree.  Strata are keyed on raw data; only stratum 0 is built as a
+    ``StableGraph``, which runs the structural checks once per fiber.
+
+    Equal keys also rule out a moduli remnant, an inserted vertex that
+    survives ``pst`` with valence at least 4.  Split such a vertex v in its
+    tree: a cycle of the bridgeless piece passes v through halfedges h and
+    h'; move h and one other piece halfedge of v onto a new vertex and
+    leave h' on v.  Both ends keep valence at least 3, so this is another
+    stratum, and the new edge lies on the cycle, so ``pst`` keeps it.  That
+    stratum's piece has one more genus-zero vertex, so its key differs and
+    some stratum's key differs from the first.
     """
     cls = classify_axis_points(axis)
     if not cls.is_axis_like:
@@ -460,11 +453,10 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     if axis.genus() < 1:
         raise DomainError("genus-zero axis graphs have no class")
     first = None
-    remnant = None
-    for i, (stratum, inserted, _) in enumerate(_raw_strata(axis)):
+    for i, (stratum, _, _) in enumerate(_raw_strata(axis)):
         if not i:
             StableGraph(*stratum)  # the structural checks, once per fiber
-        key, pieces = _stratum_key(stratum)
+        key = _stratum_key(stratum)
         if first is None:
             first = key
         elif key != first:
@@ -474,23 +466,4 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
                 "fiber strata have differing class keys",
                 (0, i),
             )
-        if remnant is None:
-            # the last surviving inserted vertex of valence > 3 in the
-            # first stratum that has one, as the oracle reports it
-            for p_genus, p_hvertex, _ in pieces:
-                if inserted.isdisjoint(p_genus):
-                    continue
-                valence = Counter(p_hvertex.values())
-                for v in sorted(p_genus):
-                    if v in inserted and valence[v] > 3:
-                        remnant = (v, valence[v])
-    if remnant is not None:
-        v, val = remnant
-        return FiberVerdict(
-            "varies",
-            None,
-            f"inserted vertex {v} survives with valence {val}: "
-            f"positive-dimensional moduli remnant",
-            remnant,
-        )
     return FiberVerdict("constant", first, None, None)

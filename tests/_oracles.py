@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from torelli_graphs import Degeneration, DomainError, StableGraph, c1_sets
-from torelli_graphs.enumeration import check_type, raw_contract
+from torelli_graphs.enumeration import check_type, iter_degenerations, raw_contract
 from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
 
@@ -653,3 +653,38 @@ def direct_degenerations(catalog, subsets: str = "all") -> list:
             )
             records.append(Degeneration(res.key, target_key, frozenset(chosen), vmap))
     return records
+
+
+def degenerations_between(catalog) -> list:
+    """Materialized list of every degeneration record (all edge subsets)."""
+    return list(iter_degenerations(catalog, subsets="all"))
+
+
+# ---------------------------------------------------------------------------
+# Edge contraction of a graph, through the raw contraction.
+# ---------------------------------------------------------------------------
+
+def contract_edges(graph: StableGraph, edges) -> StableGraph:
+    """Contract edges of a graph: endpoints merge (genera add), loops are
+    deleted and bump their vertex's genus.  Total genus is preserved."""
+    todo = []
+    eset = {e: i for i, e in enumerate(graph.edges())}
+    for e in edges:
+        e = tuple(sorted(e))
+        if e not in eset:
+            raise DomainError(f"unknown edge {e}")
+        todo.append(e)
+    if not todo:
+        return graph
+    raw, vids = graph.to_raw()
+    # raw edges are sorted; recover indices by vertex pairs with multiplicity
+    idx_of = {v: i for i, v in enumerate(vids)}
+    pair_pool: dict = {}
+    for i, (u, v) in enumerate(raw[3]):
+        pair_pool.setdefault((u, v), []).append(i)
+    indices = []
+    for h1, h2 in todo:
+        u, v = idx_of[graph.vertex_of(h1)], idx_of[graph.vertex_of(h2)]
+        pair = (u, v) if u <= v else (v, u)
+        indices.append(pair_pool[pair].pop())
+    return StableGraph.from_raw(raw_contract(raw, indices)[0])

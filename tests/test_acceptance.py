@@ -20,7 +20,6 @@ from torelli_graphs import (
     StableGraph,
     classify_axis_points,
     classify_bridge,
-    contract_edges,
     fiber_constant,
     fiber_strata,
     leaf_labeled_trees,
@@ -38,6 +37,7 @@ from torelli_graphs.graph_core import DomainError
 from _oracles import (
     c1_equivalent,
     brute_force_catalog_keys,
+    contract_edges,
     genus_zero_catalog_size,
     leg_insertion_catalog_keys,
     naive_separating_edges,

@@ -82,7 +82,7 @@ class TestEnumerateCmd:
         cat2 = load_or_enumerate(1, 2)
         assert cat1.keys == cat2.keys
 
-    @pytest.mark.parametrize("damage", ["truncated", "count", "bound", "keys"])
+    @pytest.mark.parametrize("damage", ["truncated", "nested", "count", "bound", "keys"])
     def test_damaged_cache_regenerated(self, tmp_path, monkeypatch, damage):
         monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
         want = load_or_enumerate(1, 2).keys
@@ -91,6 +91,8 @@ class TestEnumerateCmd:
         data = json.loads(text)
         if damage == "truncated":
             path.write_text(text[: len(text) // 2])
+        elif damage == "nested":
+            path.write_text("[" * 100_000 + "]" * 100_000)
         else:
             if damage == "count":
                 data["count"] += 1
@@ -284,6 +286,25 @@ class TestFiberCheckCmd:
         code, _, err = run(capsys, "fiber-check", "--axis",
                            str(tmp_path / "nope.json"))
         assert code == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, content", [
+        (["verify-assignment", "--genus", "0", "--markings", "4", "--assignment"],
+         b'{"entries": {"\xff": []}}'),
+        (["fiber-check", "--axis"], b"[" * 100_000 + b"]" * 100_000),
+        (["contract", "--graph"],
+         b'{"vertices": [{"id": 0, "genus": 1e999}], "halfedges": [], "edges": []}'),
+        (["fiber-check", "--axis"],
+         b'{"components": [{"id": 0, "genus": 1}], "singular_points": [], "genus": 1e999}'),
+    ], ids=["not-utf8", "deep-nesting", "graph-genus-overflow", "axis-genus-overflow"])
+    def test_exit_one_with_one_error_line(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code, report, err = run(capsys, *argv, str(path))
+        assert code == 1 and report is None
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestReportDeterminism:

@@ -15,6 +15,8 @@ from torelli_graphs import (
     fiber_strata,
     iter_fiber_strata,
     leaf_labeled_trees,
+    pst,
+    rational_multibridges,
     separating_bridge_assignment,
     z_contract,
 )
@@ -178,6 +180,69 @@ class TestClassification:
         axis = z_contract(four_parallel(), set())
         cls = classify_axis_points(axis)
         assert all(r.category == "node" for r in cls.points)
+
+
+def relabelled(graph, rng):
+    """``graph`` with vertex and halfedge ids replaced by distinct random
+    ids, so that sets of them iterate out of ascending order."""
+    vids, hids = graph.vertices(), graph.halfedges()
+    vnew = dict(zip(vids, rng.sample(range(1, 10**6), len(vids))))
+    hnew = dict(zip(hids, rng.sample(range(1, 10**6), len(hids))))
+    return StableGraph(
+        {vnew[v]: graph.vertex_genus(v) for v in vids},
+        {hnew[h]: vnew[graph.vertex_of(h)] for h in hids},
+        [(hnew[a], hnew[b]) for a, b in graph.edges()],
+        {lab: hnew[h] for lab, h in graph.legs.items()},
+    )
+
+
+def contraction_record(graph, chosen) -> list:
+    """The contraction of ``chosen`` with its point classes, or the error."""
+    try:
+        axis = z_contract(graph, chosen)
+    except DomainError as exc:
+        return [str(exc)]
+    cls = classify_axis_points(axis)
+    return [
+        axis.to_json_dict(),
+        [[r.point_index, r.category, list(r.branch_profile)] for r in cls.points],
+        [cls.is_axis_like, cls.is_separating_axis_like, cls.is_quasi_separating_axis_like],
+    ]
+
+
+class TestRelabelledOutputs:
+    # sha256 over the rule-F value and its contraction, the contraction of
+    # all genus-0 vertices (27 graphs give it several points, 13 of them out
+    # of ascending id order), the pst pieces, the normalization at the
+    # bridges and the multibridges of every graph of these types, ids
+    # relabelled from seed 7; computed before connectivity went through one
+    # components search
+    PINNED = "79cc62d7dddac7d576be46f20031253d1d3efda869ac4d1307771d28c748adf0"
+
+    def test_outputs_pinned(self, catalog):
+        rng = random.Random(7)
+        digest = hashlib.sha256()
+        count = 0
+        for gn in [(2, 2), (3, 0), (1, 4), (2, 3)]:
+            for key in catalog(*gn).keys:
+                g = relabelled(StableGraph.from_canonical_key(key), rng)
+                chosen = separating_bridge_assignment(g)
+                rational = [v for v in g.vertices() if not g.vertex_genus(v)]
+                bridges = rational_multibridges(g).bridges
+                record = [
+                    sorted(chosen),
+                    contraction_record(g, chosen),
+                    contraction_record(g, rational),
+                    [p.to_json_dict() for p in pst(g).components],
+                    [p.to_json_dict() for p in g.normalize_at(g.separating_edges())],
+                    [[sorted(b.vertices), b.category, list(b.attachment_profile)]
+                     for b in bridges],
+                ]
+                digest.update(json.dumps(record, sort_keys=True).encode())
+                digest.update(b"\n")
+                count += 1
+        assert count == 835
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestFiberStrata:

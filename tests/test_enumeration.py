@@ -9,8 +9,6 @@ from torelli_graphs import (
     DomainError,
     GraphCatalog,
     StableGraph,
-    contract_edges,
-    degenerations_between,
     enumerate_stable_graphs,
     iter_degenerations,
 )
@@ -18,6 +16,8 @@ from torelli_graphs import enumeration
 
 from _oracles import (
     brute_force_catalog_keys,
+    contract_edges,
+    degenerations_between,
     direct_degenerations,
     leg_insertion_catalog_keys,
 )

@@ -5,7 +5,7 @@ import pytest
 
 from torelli_graphs import StableGraph, StructuralError, DomainError, torelli_key
 from torelli_graphs import torelli as torelli_module
-from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
+from torelli_graphs.graph_core import canonicalize_raw, connected_components, raw_from_key
 
 from _oracles import (
     brute_force_halfedge_aut_order,
@@ -257,6 +257,22 @@ class TestSeparatingEdges:
         for gn in [(2, 0), (2, 1), (1, 3)]:
             for g in catalog(*gn).graphs():
                 assert g.separating_edges() == naive_separating_edges(g)
+
+
+class TestConnectedComponents:
+    def test_order_of_first_vertex(self):
+        comps = connected_components([5, 3, 9, 1, 7], [(9, 1), (3, 7), (7, 7)])
+        assert comps == [[5], [3, 7], [9, 1]]
+
+    def test_no_vertices(self):
+        assert connected_components([], []) == []
+
+    def test_induced_components_in_set_pop_order(self):
+        # neither ascending nor the set's iteration order: set.pop after
+        # removing a component of two; z_contract numbers its points so
+        g = StableGraph.build({0: 1, 99: 1, 77: 1, 6: 1, 93: 1},
+                              [(99, 93), (0, 99), (0, 77), (0, 6)])
+        assert g.induced_components([99, 77, 6, 93]) == [{93, 99}, {6}, {77}]
 
 
 class TestNormalizeAt:
