@@ -159,7 +159,11 @@ def rational_multibridges(graph: StableGraph) -> BridgeReport:
 
 def separating_bridge_assignment(graph: StableGraph) -> frozenset:
     """Rule F: the union of the vertex sets of all separating rational
-    multibridges of a stable graph (see ``_raw_separating_assignment``)."""
+    multibridges of a stable graph (see ``_raw_separating_assignment``).
+    An unstable graph raises DomainError: the raw rule has no valence test,
+    so it would pick genus-zero vertices that are no multibridge."""
+    if not graph.is_stable():
+        raise DomainError("input graph must be stable")
     raw, vids = graph.to_raw()
     mask = _raw_separating_assignment(raw)
     return frozenset(v for i, v in enumerate(vids) if mask >> i & 1)
@@ -400,14 +404,16 @@ def verify_extremal(
         full = (1 << k) - 1
         if mask == full:
             report.axiom1_violations.append((key.decode(), "value is not proper"))
-        res = canonicalize_raw(raw)
-        for orbit in res.vertex_orbits:
-            bits = sum(1 << v for v in orbit)
-            if mask & bits and mask & bits != bits:
-                report.axiom1_violations.append(
-                    (key.decode(), f"not Aut-invariant on orbit {sorted(orbit)}")
-                )
-                break
+        elif mask:
+            # an empty or full value splits no orbit, so only these keys
+            # need their automorphisms
+            for orbit in canonicalize_raw(raw).vertex_orbits:
+                bits = sum(1 << v for v in orbit)
+                if mask & bits and mask & bits != bits:
+                    report.axiom1_violations.append(
+                        (key.decode(), f"not Aut-invariant on orbit {sorted(orbit)}")
+                    )
+                    break
         report.graphs_checked += 1
 
     if degenerations is None:

@@ -17,6 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 MAX_GENUS = 1 << 16
 
@@ -48,14 +49,15 @@ class DomainError(GraphError):
 Raw = tuple[tuple, tuple, tuple, tuple]
 
 
-@dataclass(frozen=True)
-class CanonResult:
-    """Canonical labelling of a raw graph plus its automorphism data."""
+class CanonResult(NamedTuple):
+    """Canonical labelling of a raw graph plus its vertex automorphism data.
+
+    The halfedge group order is not part of it: ``StableGraph.automorphisms``
+    multiplies ``vertex_aut_order`` by the kernel order of its own raw."""
 
     key: bytes
     order: tuple  # order[pos] = original vertex index
     vertex_aut_order: int
-    halfedge_aut_order: int
     vertex_orbits: tuple  # tuple of frozensets of original indices
     vertex_generators: tuple  # generators of the vertex group, perm[i] = image of i
 
@@ -111,14 +113,28 @@ def _certificate(order, static, edges) -> tuple:
 
 
 class _PairText(dict):
-    """Memo of the key text ``"a-b"`` of an edge between positions a <= b."""
+    """Memo of the key text ``"a<sep>b"`` of a pair of small integers."""
+
+    def __init__(self, sep: str):
+        super().__init__()
+        self.sep = sep
 
     def __missing__(self, pair):
-        text = self[pair] = f"{pair[0]}-{pair[1]}"
+        text = self[pair] = f"{pair[0]}{self.sep}{pair[1]}"
         return text
 
 
-_EDGE_TEXT = _PairText()
+class _IntText(dict):
+    """Memo of ``str`` on the small integers of keys."""
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
+_EDGE_TEXT = _PairText("-")  # an edge between positions a <= b
+_LEG_TEXT = _PairText(":")  # a leg label and its position
+_INT_TEXT = _IntText()
 
 
 def _serialize(order, raw: Raw, tags) -> bytes:
@@ -127,11 +143,11 @@ def _serialize(order, raw: Raw, tags) -> bytes:
     pos = [0] * k
     for i, orig in enumerate(order):
         pos[orig] = i
-    g_part = ",".join([str(genera[orig]) for orig in order])
-    l_part = ",".join([f"{lab}:{pos[v]}" for lab, v in sorted(legs)])
+    g_part = ",".join([_INT_TEXT[genera[orig]] for orig in order])
+    l_part = ",".join([_LEG_TEXT[lab, pos[v]] for lab, v in sorted(legs)])
     b_part = ",".join(
         [f"{i}:{branch[orig]}" for i, orig in enumerate(order) if branch[orig]]
-    )
+    ) if any(branch) else ""
     es = []
     for u, v in edges:
         a, b = pos[u], pos[v]
@@ -167,30 +183,23 @@ def canonicalize_raw(raw: Raw, tags=None) -> CanonResult:
     genera, legs, branch, edges = raw
     k = len(genera)
     legs_at = [()] * k
-    for lab, v in legs:
+    for lab, v in sorted(legs):
         legs_at[v] += (lab,)
     loops = [0] * k
     for u, v in edges:
         if u == v:
             loops[u] += 1
-    base_keys = [
-        (
-            (
-                0 if tags is None else tags[i],
-                genera[i],
-                legs_at[i] if len(legs_at[i]) < 2 else tuple(sorted(legs_at[i])),
-                branch[i],
-            ),
-            loops[i],
-        )
-        for i in range(k)
-    ]
+    # per vertex: (tag,) genus, leg labels, branch points, loops
+    if tags is None:
+        base_keys = list(zip(genera, legs_at, branch, loops))
+    else:
+        base_keys = list(zip(tags, genera, legs_at, branch, loops))
     if len(set(base_keys)) == k:
         # the vertex decorations alone tell every vertex apart; ranking by
         # them is what refinement would return
         order = tuple(sorted(range(k), key=base_keys.__getitem__))
         return _discrete_result(order, raw, tags)
-    static = tuple(bk[0] for bk in base_keys)
+    static = [bk[:-1] for bk in base_keys]  # loops are in the edge list
     adj = _adjacency(k, edges)
     colors = _refine(k, _compress(base_keys), adj)
 
@@ -287,18 +296,18 @@ def canonicalize_raw(raw: Raw, tags=None) -> CanonResult:
                 groups.setdefault(r, []).append(u)
             orbits = tuple(frozenset(vs) for vs in groups.values())
     return CanonResult(
-        key=_serialize(best_order, raw, tags),
-        order=best_order,
-        vertex_aut_order=aut_order,
-        halfedge_aut_order=aut_order * _kernel_order(edges, branch),
-        vertex_orbits=orbits or _singleton_orbits(k),
-        vertex_generators=tuple(gens),
+        _serialize(best_order, raw, tags),
+        best_order,
+        aut_order,
+        orbits or _singleton_orbits(k),
+        tuple(gens),
     )
 
 
 def _orbit_reps(k: int, perms) -> list:
     """The smallest vertex of each vertex's orbit under the group the
     permutations generate."""
+    # its own search, not connected_components: that costs class-table ~7% wall_s
     rep = [-1] * k
     for v in range(k):
         if rep[v] < 0:
@@ -317,12 +326,7 @@ def _orbit_reps(k: int, perms) -> list:
 def _discrete_result(order, raw: Raw, tags) -> CanonResult:
     """Result for a labelling pinned by refinement: no vertex symmetries."""
     return CanonResult(
-        key=_serialize(order, raw, tags),
-        order=order,
-        vertex_aut_order=1,
-        halfedge_aut_order=_kernel_order(raw[3], raw[2]),
-        vertex_orbits=_singleton_orbits(len(order)),
-        vertex_generators=(),
+        _serialize(order, raw, tags), order, 1, _singleton_orbits(len(order)), ()
     )
 
 
@@ -690,14 +694,14 @@ class StableGraph:
 
     def automorphisms(self) -> AutomorphismGroup:
         res = self._canon_result()
-        _, vids = self.to_raw()
+        (_, _, branch, edges), vids = self.to_raw()
         gens = tuple(
             {vids[i]: vids[p] for i, p in enumerate(perm)}
             for perm in res.vertex_generators
         )
         orbits = tuple(frozenset(vids[i] for i in orb) for orb in res.vertex_orbits)
         return AutomorphismGroup(
-            order=res.halfedge_aut_order,
+            order=res.vertex_aut_order * _kernel_order(edges, branch),
             vertex_order=res.vertex_aut_order,
             vertex_generators=gens,
             vertex_orbits=orbits,

@@ -1,7 +1,9 @@
 import pytest
 
+from torelli_graphs import assignment
 from torelli_graphs import (
     CoverageError,
+    DomainError,
     ExtremalAssignment,
     SEPARATING_BRIDGES,
     StableGraph,
@@ -88,6 +90,13 @@ class TestSeparatingBridgeAssignment:
     def test_smooth_empty(self):
         assert separating_bridge_assignment(StableGraph.build({0: 3})) == frozenset()
 
+    def test_unstable_graph_rejected(self):
+        # the bare genus-0 middle vertex has valence 2: no multibridge
+        g = StableGraph.build({0: 1, 1: 0, 2: 1}, edges=[(0, 1), (1, 2)])
+        assert classify_bridge(g, {1}) is None
+        with pytest.raises(DomainError, match="input graph must be stable"):
+            separating_bridge_assignment(g)
+
     def test_equals_exhaustive_union(self, catalog):
         for gn in [(3, 0), (2, 1), (1, 3), (2, 2)]:
             for g in catalog(*gn).graphs():
@@ -121,6 +130,20 @@ class TestSeparatingBridgeAssignment:
                     assert rec is not None and rec.category == "separating"
 
 
+@pytest.fixture
+def labelled(monkeypatch):
+    """The raws that ``verify_extremal``'s axiom-1 loop labels."""
+    raws = []
+    canonicalize_raw = assignment.canonicalize_raw
+
+    def counting(raw, tags=None):
+        raws.append(raw)
+        return canonicalize_raw(raw, tags)
+
+    monkeypatch.setattr(assignment, "canonicalize_raw", counting)
+    return raws
+
+
 class TestVerifyExtremal:
     def test_builtin_passes_small_catalogs(self, catalog):
         for gn in [(3, 0), (2, 1), (1, 3)]:
@@ -140,7 +163,29 @@ class TestVerifyExtremal:
         report = verify_extremal(bad, cat, mode="single")
         assert any("proper" in reason for _, reason in report.axiom1_violations)
 
-    def test_orbit_breaking_value_rejected(self, catalog):
+    # reports below were computed while axiom 1 labelled every key; now it
+    # labels only keys with a nonempty value, since an empty one splits no
+    # orbit
+    @pytest.mark.parametrize("mode, degenerations", [("all", 12643), ("single", 2269)])
+    def test_builtin_labels_nonzero_masks_only(self, catalog, labelled, mode, degenerations):
+        cat = catalog(2, 3)
+        report = verify_extremal(SEPARATING_BRIDGES, cat, mode=mode)
+        nonzero = [k for k in cat.keys if SEPARATING_BRIDGES.value_mask(k)]
+        assert len(labelled) == len(nonzero) == 42
+        assert report.to_json_dict() == {
+            "assignment": "separating-bridges",
+            "genus": 2,
+            "markings": 3,
+            "verified": True,
+            "graphs_checked": 555,
+            "degenerations_checked": degenerations,
+            "mode": mode,
+            "axiom1_violations": [],
+            "axiom2_violations": [],
+            "coverage_missing": [],
+        }
+
+    def test_orbit_breaking_value_rejected(self, catalog, labelled):
         cat = catalog(2, 0)
 
         def pick_one_of_pair(graph):
@@ -153,6 +198,16 @@ class TestVerifyExtremal:
         bad = ExtremalAssignment("asymmetric", rule=pick_one_of_pair)
         report = verify_extremal(bad, cat, mode="single")
         assert any("invariant" in reason for _, reason in report.axiom1_violations)
+        assert len(labelled) == sum(1 for k in cat.keys if bad.value_mask(k))
+        assert report.axiom1_violations == [
+            (key, "not Aut-invariant on orbit [0, 1]")
+            for key in [
+                "TG1;k=2;g=0,0;l=;b=;e=0-0,0-1,1-1",
+                "TG1;k=2;g=0,0;l=;b=;e=0-1,0-1,0-1",
+                "TG1;k=2;g=1,1;l=;b=;e=0-1",
+            ]
+        ]
+        assert report.graphs_checked == 7 and report.degenerations_checked == 12
 
     def test_degeneration_closure_violation_detected(self, catalog):
         cat = catalog(1, 1)

@@ -216,6 +216,14 @@ class TestContractAndFiberCmds:
         assert code == 1 and report is None
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_contract_unstable_graph_exit_one(self, capsys, tmp_path):
+        g = StableGraph.build({0: 1, 1: 0, 2: 1}, edges=[(0, 1), (1, 2)])
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(g.to_json_dict()))
+        code, report, err = run(capsys, "contract", "--graph", str(gpath))
+        assert code == 1 and report is None
+        assert err.strip() == "error: input graph must be stable"
+
     def test_fiber_counts(self, capsys, prof4):
         code, report, _ = run(capsys, "fiber", "--axis", prof4)
         assert code == 0

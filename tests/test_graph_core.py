@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from torelli_graphs import StableGraph, StructuralError, DomainError, torelli_key
 from torelli_graphs import torelli as torelli_module
+from torelli_graphs.enumeration import raw_contract
 from torelli_graphs.graph_core import canonicalize_raw, connected_components, raw_from_key
 
 from _oracles import (
@@ -237,6 +239,38 @@ class TestGroupAgainstOracle:
             assert tags is not None
             assert_group_matches_oracle(raw, tags)
             assert_group_matches_oracle(*relabeled_raw(raw, tags, rng))
+
+
+def labelling_line(raw) -> str:
+    res = canonicalize_raw(raw)
+    orbits = ";".join(",".join(map(str, sorted(o))) for o in res.vertex_orbits)
+    order = StableGraph.from_raw(raw).automorphisms().order
+    return (
+        f"{res.key.decode()}\t{','.join(map(str, res.order))}\t"
+        f"{res.vertex_aut_order}\t{orbits}\t{order}"
+    )
+
+
+class TestLabellingContract:
+    # sha256 over labelling_line of every key of these types, of its copy
+    # under a vertex renaming from seed 3, and of the one-edge contractions
+    # of both, catalogs in this order and keys sorted; computed while every
+    # labelling still carried its halfedge group order
+    PINNED = "96924994c17c17a30ee28bcb033c7711eec9f5e795a3ce91e2f5fb2ea0cdfe3c"
+
+    def test_labellings_pinned(self, catalog):
+        rng = random.Random(3)
+        lines = []
+        for gn in [(2, 3), (1, 4), (0, 6)]:
+            for key in sorted(catalog(*gn).keys):
+                raw = raw_from_key(key)
+                for r in (raw, relabeled_raw(raw, None, rng)[0]):
+                    lines.append(labelling_line(r))
+                    for e in range(len(r[3])):
+                        lines.append(labelling_line(raw_contract(r, (e,))[0]))
+        assert len(lines) == 8462
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED
 
 
 class TestSeparatingEdges:
