@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from .graph_core import (
@@ -353,39 +353,26 @@ class VerificationReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "assignment": self.assignment,
-            "genus": self.genus,
-            "markings": self.markings,
-            "verified": self.ok,
-            "graphs_checked": self.graphs_checked,
-            "degenerations_checked": self.degenerations_checked,
-            "mode": self.mode,
-            "axiom1_violations": self.axiom1_violations,
-            "axiom2_violations": self.axiom2_violations,
-            "coverage_missing": self.coverage_missing,
-        }
+        return {**asdict(self), "verified": self.ok}
 
 
 def verify_extremal(
     assignment: ExtremalAssignment,
     catalog: GraphCatalog,
-    degenerations: Iterable | None = None,
     mode: str = "all",
 ) -> VerificationReport:
     """Check both extremality axioms over a catalog.
 
     Axiom 1: every value is a proper, automorphism-invariant vertex subset.
     Axiom 2: membership is equivalent to the image subgraph lying inside the
-    value, for every supplied degeneration.  When ``degenerations`` is None
-    they are generated from the catalog; ``mode="single"`` restricts to
-    one-edge contractions, through which all others factor.
+    value, for every degeneration among catalog graphs; ``mode="single"``
+    restricts to one-edge contractions, through which all others factor.
     """
     report = VerificationReport(
         assignment=assignment.name,
         genus=catalog.genus,
         markings=catalog.markings,
-        mode=mode if degenerations is None else "supplied",
+        mode=mode,
     )
     if not assignment.is_intrinsic():
         report.coverage_missing = [
@@ -416,9 +403,7 @@ def verify_extremal(
                     break
         report.graphs_checked += 1
 
-    if degenerations is None:
-        degenerations = iter_degenerations(catalog, subsets=mode)
-    for deg in degenerations:
+    for deg in iter_degenerations(catalog, subsets=mode):
         smask = assignment.value_mask(deg.source)
         tmask = assignment.value_mask(deg.target)
         for v, merged in deg.vertex_map:

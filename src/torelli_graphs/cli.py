@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+import zlib
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -28,75 +28,15 @@ from .enumeration import (
     enumerate_stable_graphs,
 )
 from .assignment import (
+    SCHEMA,
     SEPARATING_BRIDGES,
-    ExtremalAssignment,
     load_assignment_table,
     verify_extremal,
 )
 from .contraction import AxisGraph, classify_axis_points, fiber_strata, z_contract
 from .torelli import fiber_constant, pst, torelli_key
 
-SCHEMA = "torelli-graphs/1"
 CACHE_ENV = "TORELLI_GRAPHS_CACHE"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    genus: int | None = None
-    markings: int | None = None
-    bound: int = DEFAULT_BOUND
-    assignment: str = "F"
-    graph_path: str | None = None
-    axis_path: str | None = None
-    out: str | None = None
-    format: str = "json"
-    jobs: int = 1
-    degenerations: str = "single"
-
-    def validate(self) -> None:
-        if self.genus is not None:
-            check_type(self.genus, self.markings or 0)
-            if self.bound < 3 * self.genus - 3 + (self.markings or 0):
-                raise DomainError(
-                    f"--bound {self.bound} below required "
-                    f"{3 * self.genus - 3 + (self.markings or 0)}"
-                )
-        if self.format not in ("json", "dot"):
-            raise DomainError(f"unknown format {self.format!r}")
-        if self.jobs < 1:
-            raise DomainError("--jobs must be >= 1")
-        self.jobs = min(self.jobs, os.cpu_count() or 1)
-
-    def echo(self) -> dict:
-        out = {"command": self.command}
-        for field in (
-            "genus", "markings", "bound", "assignment", "graph_path",
-            "axis_path", "out", "format", "jobs", "degenerations",
-        ):
-            val = getattr(self, field)
-            if val is not None:
-                out[field] = val
-        return out
-
-
-@dataclass
-class Report:
-    command: str
-    config: dict
-    payload: dict
-    timing_ms: float
-
-    def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA,
-            "command": self.command,
-            "config": self.config,
-            "tool_version": __version__,
-            "timing_ms": round(self.timing_ms, 3),
-            "payload": self.payload,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +53,11 @@ def cache_dir() -> Path:
 def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> GraphCatalog:
     """Enumerate with a disk cache keyed by (g, n, bound, version).
 
-    A cache file is used only when its schema, version, type, bound and
-    key count all match; otherwise the catalog is enumerated again and the
-    file rewritten.  Writes go to a temporary file in the same directory,
-    renamed over the cache file, so a reader never sees a partial file.
+    A cache file is used only when its schema, version, type, bound, key
+    count and the CRC-32 of its newline-joined keys all match; otherwise the
+    catalog is enumerated again and the file rewritten.  Writes go to a
+    temporary file in the same directory, renamed over the cache file, so a
+    reader never sees a partial file.
     """
     path = cache_dir() / f"catalog-g{genus}-n{markings}-b{bound}-v{__version__}.json"
     if path.is_file():
@@ -128,6 +69,7 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
                 and data.get("tool_version") == __version__
                 and (data.get("g"), data.get("n"), data.get("bound")) == (genus, markings, bound)
                 and data.get("count") == len(keys)
+                and data.get("crc32") == _keys_crc(keys)
             ):
                 return GraphCatalog.from_keys(
                     genus, markings, [k.encode("ascii") for k in keys]
@@ -135,6 +77,7 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
         except (ValueError, KeyError, TypeError, AttributeError, OSError, RecursionError):
             pass  # fall through and regenerate
     catalog = enumerate_stable_graphs(genus, markings, bound)
+    keys = [k.decode("ascii") for k in catalog.keys]
     text = json.dumps(
         {
             "schema": SCHEMA,
@@ -143,8 +86,9 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
             "n": markings,
             "bound": bound,
             "tool_version": __version__,
-            "count": len(catalog),
-            "keys": [k.decode("ascii") for k in catalog.keys],
+            "count": len(keys),
+            "crc32": _keys_crc(keys),
+            "keys": keys,
         }
     )
     tmp = None
@@ -162,6 +106,14 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
     return catalog
 
 
+def _keys_crc(keys: list) -> int:
+    """CRC-32 of the newline-joined key strings: it catches a damaged key,
+    which the stored count cannot, for far less than parsing every key.
+    Not sha256: importing hashlib maps OpenSSL, about 3.5 MB of RSS in
+    every process that reads a cache."""
+    return zlib.crc32("\n".join(keys).encode("ascii"))
+
+
 # ---------------------------------------------------------------------------
 # Helpers.
 # ---------------------------------------------------------------------------
@@ -176,86 +128,65 @@ def _load_json(path: str) -> dict:
         raise StructuralError(f"{path}: JSON nested too deeply") from exc
 
 
-def _resolve_assignment(name_or_path: str, catalog: GraphCatalog | None) -> ExtremalAssignment:
-    if name_or_path in ("F", "separating-bridges"):
-        return SEPARATING_BRIDGES
-    data = _load_json(name_or_path)
-    if catalog is None:
-        raise DomainError("table assignments need a catalog context")
-    return load_assignment_table(data, catalog)
+def _document(kind: str, body: dict) -> str:
+    """Text of a JSON ``--out`` document."""
+    return json.dumps({"schema": SCHEMA, "kind": kind, **body}, indent=2, sort_keys=True)
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _dot(graphs, name: str) -> str:
+    return "\n".join(g.to_dot(name=f"{name}{i}") for i, g in enumerate(graphs))
 
 
-def _catalog_json(catalog: GraphCatalog, bound: int) -> str:
-    return json.dumps(
-        {
-            "schema": SCHEMA,
-            "kind": "catalog",
+# ---------------------------------------------------------------------------
+# Commands.  Each takes the parsed arguments and returns (payload, exit
+# code, --out document text or None); main writes the file and the report.
+# ---------------------------------------------------------------------------
+
+def cmd_enumerate(args) -> tuple:
+    catalog = load_or_enumerate(args.genus, args.markings, args.bound)
+    text = None
+    if args.out and args.format == "json":
+        text = _document("catalog", {
             "metadata": {
                 "g": catalog.genus,
                 "n": catalog.markings,
-                "bound": bound,
+                "bound": args.bound,
                 "count": len(catalog),
                 "tool_version": __version__,
             },
             "graphs": [g.to_json_dict() for g in catalog.graphs()],
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def _catalog_dot(catalog: GraphCatalog) -> str:
-    parts = [catalog.graph(i).to_dot(name=f"g{i}") for i in range(len(catalog))]
-    return "\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Commands.
-# ---------------------------------------------------------------------------
-
-def cmd_enumerate(cfg: RunConfig) -> tuple:
-    catalog = load_or_enumerate(cfg.genus, cfg.markings, cfg.bound)
-    if cfg.out:
-        if cfg.format == "json":
-            _write_text(cfg.out, _catalog_json(catalog, cfg.bound))
-        else:
-            _write_text(cfg.out, _catalog_dot(catalog))
+        })
+    elif args.out:
+        text = _dot(catalog.graphs(), "g") + "\n"
     payload = {
-        "genus": cfg.genus,
-        "markings": cfg.markings,
-        "bound": cfg.bound,
+        "genus": args.genus,
+        "markings": args.markings,
+        "bound": args.bound,
         "count": len(catalog),
-        "out": cfg.out,
+        "out": args.out,
     }
-    return payload, 0
+    return payload, 0, text
 
 
-def cmd_verify_assignment(cfg: RunConfig) -> tuple:
-    catalog = load_or_enumerate(cfg.genus, cfg.markings, cfg.bound)
-    assignment = _resolve_assignment(cfg.assignment, catalog)
-    report = verify_extremal(assignment, catalog, mode=cfg.degenerations)
+def cmd_verify_assignment(args) -> tuple:
+    catalog = load_or_enumerate(args.genus, args.markings, args.bound)
+    if args.assignment in ("F", "separating-bridges"):
+        assignment = SEPARATING_BRIDGES
+    else:
+        assignment = load_assignment_table(_load_json(args.assignment), catalog)
+    report = verify_extremal(assignment, catalog, mode=args.degenerations)
     payload = report.to_json_dict()
-    if cfg.out:
-        doc = {"schema": SCHEMA, "kind": "verification", **payload}
-        _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True))
-    return payload, 0 if report.ok else 2
+    text = _document("verification", payload) if args.out else None
+    return payload, 0 if report.ok else 2, text
 
 
-def cmd_contract(cfg: RunConfig) -> tuple:
-    graph = StableGraph.from_json_dict(_load_json(cfg.graph_path))
-    if cfg.assignment not in ("F", "separating-bridges"):
+def cmd_contract(args) -> tuple:
+    graph = StableGraph.from_json_dict(_load_json(args.graph_path))
+    if args.assignment not in ("F", "separating-bridges"):
         raise DomainError("contract supports the built-in assignment only; "
                           "table assignments are catalog-relative")
     chosen = SEPARATING_BRIDGES.value(graph)
     axis = z_contract(graph, chosen)
-    doc = {"schema": SCHEMA, "kind": "axis_graph", **axis.to_json_dict()}
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if cfg.out:
-        _write_text(cfg.out, text)
     cls = classify_axis_points(axis)
     payload = {
         "contracted_vertices": sorted(chosen),
@@ -268,13 +199,14 @@ def cmd_contract(cfg: RunConfig) -> tuple:
         "is_axis_like": cls.is_axis_like,
         "is_separating_axis_like": cls.is_separating_axis_like,
         "is_quasi_separating_axis_like": cls.is_quasi_separating_axis_like,
-        "out": cfg.out,
+        "out": args.out,
     }
-    return payload, 0
+    text = _document("axis_graph", axis.to_json_dict()) if args.out else None
+    return payload, 0, text
 
 
-def cmd_fiber(cfg: RunConfig) -> tuple:
-    axis = AxisGraph.from_json_dict(_load_json(cfg.axis_path))
+def cmd_fiber(args) -> tuple:
+    axis = AxisGraph.from_json_dict(_load_json(args.axis_path))
     strata = fiber_strata(axis)
     payload = {
         "points": [
@@ -285,23 +217,15 @@ def cmd_fiber(cfg: RunConfig) -> tuple:
         "moduli_dimension": strata.moduli_dimension,
         "graphs": sorted(g.canonical_key().decode() for g in strata.graphs),
     }
-    if cfg.out:
-        if cfg.format == "json":
-            doc = {
-                "schema": SCHEMA,
-                "kind": "fiber",
-                "total": strata.total,
-                "graphs": [g.to_json_dict() for g in strata.graphs],
-            }
-            _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            _write_text(
-                cfg.out,
-                "\n".join(
-                    g.to_dot(name=f"fiber{i}") for i, g in enumerate(strata.graphs)
-                ),
-            )
-    return payload, 0
+    text = None
+    if args.out and args.format == "json":
+        text = _document("fiber", {
+            "total": strata.total,
+            "graphs": [g.to_json_dict() for g in strata.graphs],
+        })
+    elif args.out:
+        text = _dot(strata.graphs, "fiber")
+    return payload, 0, text
 
 
 def _class_of_key(key_str: str) -> tuple:
@@ -309,13 +233,13 @@ def _class_of_key(key_str: str) -> tuple:
     return key_str, torelli_key(graph).decode("ascii")
 
 
-def cmd_torelli_classes(cfg: RunConfig) -> tuple:
-    if cfg.genus < 1:
+def cmd_torelli_classes(args) -> tuple:
+    if args.genus < 1:
         raise DomainError("class tables need genus >= 1")
-    catalog = load_or_enumerate(cfg.genus, cfg.markings, cfg.bound)
+    catalog = load_or_enumerate(args.genus, args.markings, args.bound)
     key_strs = [k.decode("ascii") for k in catalog.keys]
-    if cfg.jobs > 1:
-        with Pool(cfg.jobs) as pool:
+    if args.jobs > 1:
+        with Pool(args.jobs) as pool:
             pairs = pool.map(_class_of_key, key_strs, chunksize=64)
     else:
         pairs = [_class_of_key(k) for k in key_strs]
@@ -327,37 +251,32 @@ def cmd_torelli_classes(cfg: RunConfig) -> tuple:
         for cls, members in sorted(classes.items())
     ]
     payload = {
-        "genus": cfg.genus,
-        "markings": cfg.markings,
+        "genus": args.genus,
+        "markings": args.markings,
         "catalog_size": len(catalog),
         "class_count": len(table),
         "classes": table,
     }
-    if cfg.out:
-        if cfg.format == "dot":
-            # one reduced representative per class
-            parts = []
-            for i, entry in enumerate(table):
-                member = StableGraph.from_canonical_key(
-                    entry["members"][0].encode("ascii")
-                )
-                for j, piece in enumerate(pst(member).sorted_components()):
-                    parts.append(piece.to_dot(name=f"class{i}_piece{j}"))
-            _write_text(cfg.out, "\n".join(parts) + "\n")
-        else:
-            doc = {"schema": SCHEMA, "kind": "class-table", **payload}
-            _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True))
-    return payload, 0
+    text = None
+    if args.out and args.format == "dot":
+        # one reduced representative per class
+        parts = []
+        for i, entry in enumerate(table):
+            member = StableGraph.from_canonical_key(entry["members"][0].encode("ascii"))
+            for j, piece in enumerate(pst(member).sorted_components()):
+                parts.append(piece.to_dot(name=f"class{i}_piece{j}"))
+        text = "\n".join(parts) + "\n"
+    elif args.out:
+        text = _document("class-table", payload)
+    return payload, 0, text
 
 
-def cmd_fiber_check(cfg: RunConfig) -> tuple:
-    axis = AxisGraph.from_json_dict(_load_json(cfg.axis_path))
+def cmd_fiber_check(args) -> tuple:
+    axis = AxisGraph.from_json_dict(_load_json(args.axis_path))
     verdict = fiber_constant(axis)
     payload = verdict.to_json_dict()
-    if cfg.out:
-        doc = {"schema": SCHEMA, "kind": "fiber-verdict", **payload}
-        _write_text(cfg.out, json.dumps(doc, indent=2, sort_keys=True))
-    return payload, 0 if verdict.constant else 2
+    text = _document("fiber-verdict", payload) if args.out else None
+    return payload, 0 if verdict.constant else 2, text
 
 
 COMMANDS = {
@@ -377,6 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         "contractions, and compactified-Jacobian class keys.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # every run setting, so the report's config echo names them all; a
+    # subcommand's own flags override these
+    parser.set_defaults(
+        genus=None, markings=None, bound=DEFAULT_BOUND, assignment="F",
+        graph_path=None, axis_path=None, out=None, format="json", jobs=1,
+        degenerations="single",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_type_flags(p):
@@ -419,36 +345,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check(args) -> None:
+    """Refuse bad run settings before any work starts, and lower --jobs to
+    the CPU count."""
+    if args.genus is not None:
+        markings = args.markings or 0
+        check_type(args.genus, markings)
+        if args.bound < 3 * args.genus - 3 + markings:
+            raise DomainError(
+                f"--bound {args.bound} below required {3 * args.genus - 3 + markings}"
+            )
+    if args.format not in ("json", "dot"):
+        raise DomainError(f"unknown format {args.format!r}")
+    if args.jobs < 1:
+        raise DomainError("--jobs must be >= 1")
+    args.jobs = min(args.jobs, os.cpu_count() or 1)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        genus=getattr(args, "genus", None),
-        markings=getattr(args, "markings", None),
-        bound=getattr(args, "bound", DEFAULT_BOUND),
-        assignment=getattr(args, "assignment", "F"),
-        graph_path=getattr(args, "graph_path", None),
-        axis_path=getattr(args, "axis_path", None),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
-        jobs=getattr(args, "jobs", 1),
-        degenerations=getattr(args, "degenerations", "single"),
-    )
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        cfg.validate()
-        payload, code = COMMANDS[args.command](cfg)
+        _check(args)
+        payload, code, text = COMMANDS[args.command](args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
     except (GraphError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = Report(
-        command=args.command,
-        config=cfg.echo(),
-        payload=payload,
-        timing_ms=(time.perf_counter() - t0) * 1000.0,
-    )
-    print(report.to_json())
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if v is not None},
+        "tool_version": __version__,
+        "timing_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        "payload": payload,
+    }
+    print(json.dumps(report, indent=2, sort_keys=True))
     return code
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,9 @@ class TestEnumerateCmd:
         cat2 = load_or_enumerate(1, 2)
         assert cat1.keys == cat2.keys
 
-    @pytest.mark.parametrize("damage", ["truncated", "nested", "count", "bound", "keys"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "nested", "count", "bound", "keys", "repeated", "garbled"]
+    )
     def test_damaged_cache_regenerated(self, tmp_path, monkeypatch, damage):
         monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
         want = load_or_enumerate(1, 2).keys
@@ -98,8 +101,12 @@ class TestEnumerateCmd:
                 data["count"] += 1
             elif damage == "bound":
                 data["bound"] += 1
-            else:
+            elif damage == "keys":
                 data["keys"] = data["keys"][1:]
+            elif damage == "repeated":  # the count still matches
+                data["keys"] = [data["keys"][0]] * len(data["keys"])
+            else:
+                data["keys"][-1] = "TG1;k=1"
             path.write_text(json.dumps(data))
         calls = []
         enumerate_stable_graphs = cli_module.enumerate_stable_graphs
@@ -332,3 +339,91 @@ class TestReportDeterminism:
         for gdata in doc["graphs"]:
             keys.add(StableGraph.from_json_dict(gdata).canonical_key())
         assert len(keys) == doc["metadata"]["count"]
+
+
+class TestEnvelopeContract:
+    """Everything a command shows, pinned as one digest: exit code, the
+    stdout envelope with its ``timing_ms`` value blanked (the ``config``
+    echo included), stderr and the ``--out`` text, for every command with
+    json and dot output and for the common error paths."""
+
+    DIGEST = "5cae40abde2ee1cb6e4a2a195fb432e39a343043e6db8e360da614b7e5aea8ed"
+
+    CASES = [
+        ["enumerate", "--genus", "1", "--markings", "2", "--out", "{tmp}/cat.json"],
+        ["enumerate", "--genus", "1", "--markings", "1", "--format", "dot",
+         "--out", "{tmp}/cat.dot"],
+        ["verify-assignment", "--genus", "1", "--markings", "1",
+         "--degenerations", "all", "--out", "{tmp}/verify.json"],
+        ["verify-assignment", "--genus", "1", "--markings", "1",
+         "--assignment", "{tmp}/loop-table.json", "--out", "{tmp}/verify-table.json"],
+        ["contract", "--graph", "{tmp}/graph.json", "--out", "{tmp}/axis.json"],
+        ["fiber", "--axis", "{tmp}/prof4.json", "--out", "{tmp}/fiber.json"],
+        ["fiber", "--axis", "{tmp}/sep4.json", "--format", "dot",
+         "--out", "{tmp}/fiber.dot"],
+        ["torelli-classes", "--genus", "1", "--markings", "2",
+         "--out", "{tmp}/classes.json"],
+        ["torelli-classes", "--genus", "2", "--markings", "0", "--format", "dot",
+         "--out", "{tmp}/classes.dot"],
+        # --jobs above the (patched) CPU count is clamped in the config echo
+        ["torelli-classes", "--genus", "1", "--markings", "1", "--jobs", "2"],
+        ["fiber-check", "--axis", "{tmp}/sep4.json", "--out", "{tmp}/check.json"],
+        ["fiber-check", "--axis", "{tmp}/prof4.json", "--out", "{tmp}/check-var.json"],
+        # errors
+        ["enumerate", "--genus", "4", "--markings", "0", "--out", "{tmp}/none.json"],
+        ["enumerate", "--genus", "-1", "--markings", "3"],
+        ["verify-assignment", "--genus", "0", "--markings", "4",
+         "--assignment", "{tmp}/bad-table.json", "--out", "{tmp}/none.json"],
+        ["contract", "--graph", "{tmp}/graph.json",
+         "--assignment", "{tmp}/loop-table.json", "--out", "{tmp}/none.json"],
+        ["torelli-classes", "--genus", "0", "--markings", "5"],
+        ["fiber-check", "--axis", "{tmp}/missing.json"],
+    ]
+
+    @staticmethod
+    def inputs(tmp_path):
+        graph = StableGraph.build({0: 0, 1: 1, 2: 1, 3: 1},
+                                  edges=[(0, 1), (0, 2), (0, 3), (3, 3)])
+        (tmp_path / "graph.json").write_text(json.dumps(graph.to_json_dict()))
+        write_axis(tmp_path / "sep4.json", AxisGraph(
+            [(i, 1, []) for i in range(4)],
+            [SingularPoint(0, ((0, 0), (1, 0), (2, 0), (3, 0)))],
+        ))
+        write_axis(tmp_path / "prof4.json", AxisGraph(
+            [(0, 1, [])], [SingularPoint(0, ((0, 0), (0, 1), (0, 2), (0, 3)))]
+        ))
+        keys = load_or_enumerate(1, 1).keys
+        entries = {k.decode(): [] for k in keys}
+        entries[next(k for k in keys if b"0-0" in k).decode()] = [0]
+        (tmp_path / "loop-table.json").write_text(json.dumps(
+            {"schema": "torelli-graphs/1", "name": "loops", "entries": entries}
+        ))
+        entries = {k.decode(): [] for k in load_or_enumerate(0, 4).keys}
+        entries["TG1;k=1;g=x;l=;b=;e="] = []
+        (tmp_path / "bad-table.json").write_text(json.dumps({"entries": entries}))
+
+    def test_outputs_pinned(self, capsys, tmp_path, monkeypatch):
+        import hashlib
+        import re
+
+        monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        self.inputs(tmp_path)
+        tmp = str(tmp_path)
+        records = []
+        for argv in self.CASES:
+            argv = [a.replace("{tmp}", tmp) for a in argv]
+            code = main(argv)
+            got = capsys.readouterr()
+            stdout = re.sub(r'"timing_ms": [-+.eE0-9]+', '"timing_ms": 0', got.out)
+            out_text = None
+            if "--out" in argv:
+                out = tmp_path / Path(argv[argv.index("--out") + 1]).name
+                if out.exists():
+                    out_text = out.read_text()
+                    out.unlink()
+            records.append(json.dumps(
+                [argv, code, stdout, got.err, out_text]
+            ).replace(tmp, "<tmp>"))
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == self.DIGEST
