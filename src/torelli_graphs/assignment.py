@@ -368,6 +368,8 @@ def verify_extremal(
     value, for every degeneration among catalog graphs; ``mode="single"``
     restricts to one-edge contractions, through which all others factor.
     """
+    if mode not in ("all", "single"):
+        raise ValueError("mode must be 'all' or 'single'")
     report = VerificationReport(
         assignment=assignment.name,
         genus=catalog.genus,
@@ -384,16 +386,17 @@ def verify_extremal(
                 f"{len(report.coverage_missing)} catalog entries"
             )
 
-    for key in catalog.keys:
+    for i, key in enumerate(catalog.keys):
         raw = raw_from_key(key)
         k = len(raw[0])
         mask = assignment.value_mask(key, raw)
         full = (1 << k) - 1
         if mask == full:
             report.axiom1_violations.append((key.decode(), "value is not proper"))
-        elif mask:
-            # an empty or full value splits no orbit, so only these keys
-            # need their automorphisms
+        elif mask and not catalog.known_rigid(i):
+            # an empty or full value splits no orbit, and neither does any
+            # value on a rigid graph, whose orbits are singletons; only the
+            # other keys need their automorphisms
             for orbit in canonicalize_raw(raw).vertex_orbits:
                 bits = sum(1 << v for v in orbit)
                 if mask & bits and mask & bits != bits:

@@ -4,13 +4,18 @@ Catalogs are generated breadth-first from the one-vertex seeds (every split
 of the total genus between vertex genus and loops): splitting a vertex in
 all ways adds one edge at a time, and every stable graph contracts along a
 spanning tree back to such a seed, so the closure is complete.  Isomorph
-rejection goes through canonical keys; a catalog stores keys only and
-materializes representatives on demand.
+rejection goes through canonical keys; a catalog stores keys and
+materializes representatives on demand.  A freshly enumerated catalog also
+keeps what the canonical labelling of each split child says about the
+one-edge contraction that undoes the split, so degeneration walks need not
+label those contractions again.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -20,7 +25,6 @@ from .graph_core import (
     Raw,
     StableGraph,
     canonicalize_raw,
-    raw_canonical_key,
     raw_from_key,
 )
 
@@ -39,14 +43,88 @@ class BoundExceededError(DomainError):
         )
 
 
+class _Steps:
+    """One-edge contraction steps that enumeration read off its labellings.
+
+    A split child C of a parent S splits S's vertex v into v and a new
+    vertex w.  Labelling C gives its catalog graph T and its ``order``: T's
+    position p is C's vertex order[p].  Contracting T's edge between the
+    positions of v and w gives S back, and T's position p lands on S's
+    position order[p], with w replaced by v.  Only rigid parents are
+    recorded, because only then is that vertex map the one every
+    contraction of the edge yields.
+
+    Everything sits in flat arrays, with no object per record:
+    - per catalog position, ``rigid`` (no vertex automorphisms) and
+      ``head``, one plus the graph's last record (0 for none);
+    - per record r, ``link[r]``, one plus the graph's record before it, and
+      ``width`` bytes of ``slots`` from ``r * width``: the order, then v,
+      zero-padded to the largest vertex count of the type;
+    - per parent, ``firsts``, its first record, and ``parents``, its
+      discovery number, which ``position`` turns into a catalog position.
+      A parent's records are consecutive.
+    The arrays refuse a value they cannot hold rather than wrap it, and a
+    type whose graphs may have 256 vertices gets no records, since a byte
+    could not hold their positions.
+    """
+
+    __slots__ = (
+        "rigid", "head", "link", "slots", "width", "firsts", "parents", "position"
+    )
+
+    def __init__(self, max_vertices: int):
+        self.width = 1 + max_vertices
+        self.rigid = bytearray()
+        self.head = array("I")
+        self.link = array("I")
+        self.slots = bytearray()
+        self.firsts = array("I")
+        self.parents = array("I")
+        self.position = None
+
+    def steps_of(self, i: int, k: int) -> dict:
+        """The recorded steps of graph i, which has k vertices: edge pair
+        x < y -> (catalog position of the contraction, the position there
+        of each of the k positions, k - 1, True)."""
+        slots, width = self.slots, self.width
+        w = k - 1
+        out = {}
+        r = self.head[i]
+        while r:
+            r -= 1
+            at = r * width
+            order = slots[at : at + k]
+            v = slots[at + k]
+            x, y = order.index(v), order.index(w)
+            parent = self.parents[bisect_right(self.firsts, r) - 1]
+            out[(x, y) if x < y else (y, x)] = (
+                self.position[parent],
+                [v if p == w else p for p in order],
+                w,
+                True,
+            )
+            r = self.link[r]
+        return out
+
+
 @dataclass
 class GraphCatalog:
-    """All stable graphs of one (genus, markings) type, up to isomorphism."""
+    """All stable graphs of one (genus, markings) type, up to isomorphism.
+
+    A catalog from ``enumerate_stable_graphs`` also carries the one-edge
+    steps and rigidity bits its labellings gave (``_Steps``); one built by
+    ``from_keys`` carries none.  Neither is part of ``==`` or ``repr``."""
 
     genus: int
     markings: int
     keys: list  # sorted canonical keys (bytes)
     index: dict = field(repr=False)  # key -> position
+    _steps: _Steps | None = field(default=None, repr=False, compare=False)
+
+    def known_rigid(self, i: int) -> bool:
+        """True when enumeration found graph i without vertex automorphisms;
+        False when it has some or the catalog was not enumerated here."""
+        return self._steps is not None and self._steps.rigid[i] == 1
 
     @classmethod
     def from_keys(cls, genus: int, markings: int, keys) -> "GraphCatalog":
@@ -86,8 +164,11 @@ def _seed_raws(genus: int, markings: int) -> list:
     return seeds
 
 
-def _split_children(raw: Raw) -> Iterator[Raw]:
-    """All one-edge refinements of ``raw`` obtained by splitting a vertex."""
+def _split_children(raw: Raw) -> Iterator[tuple]:
+    """All one-edge refinements of ``raw`` obtained by splitting a vertex,
+    as (split vertex v, child raw).  The child adds the vertex w = len(genera)
+    and the edge (v, w); contracting that edge gives ``raw`` back, with w
+    merged into v."""
     genera, legs, branch, edges = raw
     k = len(genera)
     items_at = [[] for _ in range(k)]  # ("e", edge idx, side) or ("l", label)
@@ -142,39 +223,88 @@ def _split_children(raw: Raw) -> Iterator[Raw]:
                 new_edges.append((v, w))
                 new_edges.sort()
                 # legs come sorted by label and keep their order in the dict
-                yield (new_genera, tuple(new_legs.items()), new_branch, tuple(new_edges))
+                yield v, (
+                    new_genera, tuple(new_legs.items()), new_branch, tuple(new_edges)
+                )
 
 
 def enumerate_stable_graphs(
     genus: int, markings: int, bound: int = DEFAULT_BOUND
 ) -> GraphCatalog:
-    """Complete duplicate-free catalog of stable (genus, markings) graphs."""
+    """Complete duplicate-free catalog of stable (genus, markings) graphs.
+
+    The catalog carries the rigidity of every key and the one-edge step of
+    every split child of a rigid parent (see ``_Steps``)."""
     check_type(genus, markings)
     max_edges = 3 * genus - 3 + markings
     if max_edges > bound:
         raise BoundExceededError(genus, markings, bound)
 
-    seen: set = set()
+    # every vertex of a stable graph has 2g_v - 2 + n_v >= 1
+    max_vertices = max(1, 2 * genus - 2 + markings)
+    steps = _Steps(max_vertices)
+    rigid, head, link, slots = steps.rigid, steps.head, steps.link, steps.slots
+    narrow = max_vertices < 256  # a byte holds every position
+    # what follows a child's order in its record, by the parent's vertex
+    # count k: the split vertex, then padding up to the width (a parent of
+    # max_vertices vertices has no children)
+    tails_at = [
+        [bytes((v,)) + bytes(max(0, max_vertices - k - 1)) for v in range(k)]
+        for k in range(max_vertices + 1)
+    ] if narrow else []
+    found: dict = {}  # key -> discovery number
+    # keys to split; each is parsed when its turn comes, since a level of
+    # parsed raws takes far more memory than its keys
     frontier: list = []
     for raw in _seed_raws(genus, markings):
-        key = raw_canonical_key(raw)
-        if key not in seen:
-            seen.add(key)
-            frontier.append(raw)
+        res = canonicalize_raw(raw)
+        if res.key not in found:
+            found[res.key] = len(found)
+            rigid.append(res.vertex_aut_order == 1)
+            head.append(0)
+            frontier.append(res.key)
     while frontier:
         nxt = []
-        for raw in frontier:
+        for parent_key in frontier:
+            raw = raw_from_key(parent_key)
             if len(raw[3]) >= max_edges:
                 continue
+            s = found[parent_key]
             last = len(raw[3]) + 1 >= max_edges  # children are not split again
-            for child in _split_children(raw):
-                key = raw_canonical_key(child)
-                if key not in seen:
-                    seen.add(key)
+            record = narrow and rigid[s]
+            if record:
+                steps.firsts.append(len(link))
+                steps.parents.append(s)
+                tails = tails_at[len(raw[0])]
+            for v, child in _split_children(raw):
+                res = canonicalize_raw(child)
+                key = res.key
+                t = found.get(key)
+                if t is None:
+                    t = found[key] = len(found)
+                    rigid.append(res.vertex_aut_order == 1)
+                    head.append(0)
                     if not last:
-                        nxt.append(raw_from_key(key))
+                        nxt.append(key)
+                if record:
+                    link.append(head[t])
+                    head[t] = len(link)
+                    slots += bytes(res.order)
+                    slots += tails[v]
         frontier = nxt
-    return GraphCatalog.from_keys(genus, markings, seen)
+    # rigid and head were filled by discovery number; the catalog keeps
+    # them by position, the order of the sorted keys
+    catalog = GraphCatalog.from_keys(genus, markings, found)
+    index = catalog.index
+    steps.position = array("I", [index[key] for key in found])
+    del found
+    steps.rigid = bytearray(len(rigid))
+    steps.head = array("I", bytes(len(head) * head.itemsize))
+    for d, i in enumerate(steps.position):
+        steps.rigid[i] = rigid[d]
+        steps.head[i] = head[d]
+    catalog._steps = steps
+    return catalog
 
 
 # ---------------------------------------------------------------------------
@@ -314,21 +444,32 @@ def iter_degenerations(
 
     ``subsets="all"`` walks every edge subset of every graph, including the
     empty one (the identity degeneration), by size and in
-    ``itertools.combinations`` order within a size.  The record of
-    S = S' + (last,) is composed from the record of S' and one contraction
-    of its source along the image of edge ``last``; those one-edge steps are
-    memoized per source and position pair.  When the new source is rigid
-    its vertex map is unique, so the composed record equals the direct one;
-    otherwise the record is contracted from the target directly, so the
-    witness among automorphic vertex maps does not depend on the walk.
-    ``subsets="single"`` walks only one-edge
-    contractions; every multi-edge contraction factors through those, which
-    is enough for closure checks.
+    ``itertools.combinations`` order within a size.  ``subsets="single"``
+    walks only one-edge contractions; every multi-edge contraction factors
+    through those, which is enough for closure checks.
+
+    Both modes walk one-edge steps.  A step contracts the edge x <= y of
+    catalog graph i0 and gives graph i1, with the position in i1 of each
+    position of i0.  A step is read from the catalog's enumeration records
+    (``_Steps``) when there is one; records exist only where i1 is rigid,
+    so their position map is the only one, that of the direct contraction.
+    Loops and steps without a record are contracted and labelled.  Single
+    mode takes the steps of each target once, and reuses the last one for
+    a parallel copy of its edge.  All mode memoizes steps by (i0, x, y),
+    seeding the memo of i0 with its records on first use, and composes the
+    record of S = S' + (last,) from the record of S' and the step along the
+    image of edge ``last``.  When the new source is rigid its vertex map is
+    unique, so the composed record equals the direct one; otherwise the
+    record is contracted from the target directly, so the witness among
+    automorphic vertex maps does not depend on the walk.  A rigid target's
+    identity record needs no labelling: the only map of its canonical raw
+    onto itself is the identity.
     """
     if subsets not in ("all", "single"):
         raise ValueError("subsets must be 'all' or 'single'")
     keys = catalog.keys
     index = catalog.index
+    recorded = catalog._steps
 
     def contract(raw, chosen):
         """Catalog index of ``raw`` contracted along ``chosen``, the vertex
@@ -350,57 +491,74 @@ def iter_degenerations(
                 where[v] = pos
         return where
 
+    def vertex_map(where, k1):
+        members = [[] for _ in range(k1)]
+        for v, p in enumerate(where):
+            members[p].append(v)
+        return tuple((pos, frozenset(m)) for pos, m in enumerate(members))
+
+    def recorded_steps(i, k):
+        return {} if recorded is None else recorded.steps_of(i, k)
+
+    def step(raw0, x, y):
+        """The step along edge x <= y of ``raw0``, contracted and labelled:
+        (catalog index, new position of each position, vertex count,
+        rigid)."""
+        i1, kmap, rigid = contract(raw0, (raw0[3].index((x, y)),))
+        return i1, position_of(kmap, len(raw0[0])), len(kmap), rigid
+
     if subsets == "single":
-        for target_key in keys:
+        for t, target_key in enumerate(keys):
             raw = raw_from_key(target_key)
             edges = raw[3]
-            for e in range(len(edges)):
+            by_pair = recorded_steps(t, len(raw[0]))
+            for e, pair in enumerate(edges):
                 # a parallel copy contracts to the same graph and classes
-                if not e or edges[e] != edges[e - 1]:
-                    i, vmap, _ = contract(raw, (e,))
+                if not e or pair != edges[e - 1]:
+                    i, image, k1, _ = by_pair.get(pair) or step(raw, *pair)
+                    vmap = vertex_map(image, k1)
                 yield Degeneration(keys[i], target_key, frozenset((e,)), vmap)
         return
 
-    # (source index, x, y) -> (index of the source contracted along an edge
-    # x <= y, new position of each position, its vertex count, rigid)
+    # source index -> {(x, y): step}, seeded with the source's records
     steps: dict = {}
-    for target_key in keys:
+    for t, target_key in enumerate(keys):
         raw = raw_from_key(target_key)
         edges = raw[3]
         n_edges = len(edges)
         k = len(raw[0])
-        i, vmap, _ = contract(raw, ())
+        if catalog.known_rigid(t):
+            i, where = t, list(range(k))
+            vmap = vertex_map(where, k)
+        else:
+            i, vmap, _ = contract(raw, ())
+            where = position_of(vmap, k)
         yield Degeneration(keys[i], target_key, frozenset(), vmap)
-        # edge subset -> (source index, source position of each target vertex)
-        level = {(): (i, position_of(vmap, k))}
+        # edge subset -> (source index, its vertex count, source position of
+        # each target vertex)
+        level = {(): (i, k, where)}
         for r in range(1, n_edges + 1):
             below = level
             level = {}
             for chosen in itertools.combinations(range(n_edges), r):
-                i0, where0 = below[chosen[:-1]]
+                i0, k0, where0 = below[chosen[:-1]]
                 a, b = edges[chosen[-1]]
                 x, y = where0[a], where0[b]
-                step_key = (i0, x, y) if x <= y else (i0, y, x)
-                step = steps.get(step_key)
-                if step is None:
-                    kraw = raw_from_key(keys[i0])
-                    j = kraw[3].index(step_key[1:])
-                    i1, kmap, rigid = contract(kraw, (j,))
-                    step = steps[step_key] = (
-                        i1, position_of(kmap, len(kraw[0])), len(kmap), rigid,
-                    )
-                i1, image, k1, rigid = step
+                if x > y:
+                    x, y = y, x
+                by_pair = steps.get(i0)
+                if by_pair is None:
+                    by_pair = steps[i0] = recorded_steps(i0, k0)
+                found = by_pair.get((x, y))
+                if found is None:
+                    found = by_pair[x, y] = step(raw_from_key(keys[i0]), x, y)
+                i1, image, k1, rigid = found
                 if rigid:
                     where = [image[p] for p in where0]
-                    members = [[] for _ in range(k1)]
-                    for v, p in enumerate(where):
-                        members[p].append(v)
-                    vmap = tuple(
-                        (pos, frozenset(m)) for pos, m in enumerate(members)
-                    )
+                    vmap = vertex_map(where, k1)
                 else:
                     _, vmap, _ = contract(raw, chosen)
                     where = position_of(vmap, k)
                 if r < n_edges:
-                    level[chosen] = (i1, where)
+                    level[chosen] = (i1, k1, where)
                 yield Degeneration(keys[i1], target_key, frozenset(chosen), vmap)

@@ -76,6 +76,7 @@ def criterion(number, title):
     print(f"ACCEPTANCE {number} ({title}): PASS")
 
 
+@pytest.mark.slow
 def test_criterion_1_extremality_of_builtin(catalog):
     with criterion(1, "extremality of the separating-bridge assignment"):
         for g, n in SWEEP_6:
@@ -148,6 +149,7 @@ def test_criterion_3_main_dichotomy():
         assert fiber_constant(profile_2_2).verdict == "varies"
 
 
+@pytest.mark.slow
 def test_criterion_4_fiber_products(catalog):
     with criterion(4, "fiber product structure"):
         # per-point counts pinned after the independent recurrence agrees
@@ -171,6 +173,7 @@ def test_criterion_4_fiber_products(catalog):
             print(f"  ({g},{n}) fiber strata checked ({strata_total} total)")
 
 
+@pytest.mark.slow
 def test_criterion_5_c1_machinery(catalog):
     from torelli_graphs import c1_sets
 

@@ -14,7 +14,7 @@ from torelli_graphs import (
     separating_bridge_assignment,
     verify_extremal,
 )
-from torelli_graphs.enumeration import enumerate_stable_graphs
+from torelli_graphs.enumeration import GraphCatalog, enumerate_stable_graphs
 
 from _oracles import exhaustive_separating_bridge_union
 
@@ -157,6 +157,17 @@ class TestVerifyExtremal:
             single = verify_extremal(SEPARATING_BRIDGES, catalog(*gn), mode="single")
             assert full.ok == single.ok
 
+    def test_unknown_mode_rejected_before_work(self, catalog):
+        asked = []
+
+        def rule(graph):
+            asked.append(graph)
+            return []
+
+        with pytest.raises(ValueError, match="mode"):
+            verify_extremal(ExtremalAssignment("any", rule=rule), catalog(1, 1), mode="bogus")
+        assert asked == []
+
     def test_improper_value_rejected(self, catalog):
         cat = catalog(1, 1)
         bad = ExtremalAssignment("everything", rule=lambda g: g.vertices())
@@ -165,25 +176,33 @@ class TestVerifyExtremal:
 
     # reports below were computed while axiom 1 labelled every key; now it
     # labels only keys with a nonempty value, since an empty one splits no
-    # orbit
+    # orbit, and on an enumerated catalog only those that are not rigid.
+    # The session catalog is enumerated or cache-loaded depending on the
+    # cache, so both kinds are built here.
     @pytest.mark.parametrize("mode, degenerations", [("all", 12643), ("single", 2269)])
     def test_builtin_labels_nonzero_masks_only(self, catalog, labelled, mode, degenerations):
-        cat = catalog(2, 3)
-        report = verify_extremal(SEPARATING_BRIDGES, cat, mode=mode)
-        nonzero = [k for k in cat.keys if SEPARATING_BRIDGES.value_mask(k)]
-        assert len(labelled) == len(nonzero) == 42
-        assert report.to_json_dict() == {
-            "assignment": "separating-bridges",
-            "genus": 2,
-            "markings": 3,
-            "verified": True,
-            "graphs_checked": 555,
-            "degenerations_checked": degenerations,
-            "mode": mode,
-            "axiom1_violations": [],
-            "axiom2_violations": [],
-            "coverage_missing": [],
-        }
+        keys = catalog(2, 3).keys
+        nonzero = [k for k in keys if SEPARATING_BRIDGES.value_mask(k)]
+        assert len(nonzero) == 42
+        for cat, labellings in [
+            (GraphCatalog.from_keys(2, 3, keys), 42),
+            (enumerate_stable_graphs(2, 3), 8),
+        ]:
+            labelled.clear()
+            report = verify_extremal(SEPARATING_BRIDGES, cat, mode=mode)
+            assert len(labelled) == labellings
+            assert report.to_json_dict() == {
+                "assignment": "separating-bridges",
+                "genus": 2,
+                "markings": 3,
+                "verified": True,
+                "graphs_checked": 555,
+                "degenerations_checked": degenerations,
+                "mode": mode,
+                "axiom1_violations": [],
+                "axiom2_violations": [],
+                "coverage_missing": [],
+            }
 
     def test_orbit_breaking_value_rejected(self, catalog, labelled):
         cat = catalog(2, 0)

@@ -5,14 +5,19 @@ from collections import Counter
 import pytest
 
 from torelli_graphs import (
+    SEPARATING_BRIDGES,
     BoundExceededError,
     DomainError,
+    ExtremalAssignment,
     GraphCatalog,
     StableGraph,
     enumerate_stable_graphs,
     iter_degenerations,
+    verify_extremal,
 )
-from torelli_graphs import enumeration
+from torelli_graphs import assignment, enumeration
+from torelli_graphs.enumeration import raw_contract
+from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
 from _oracles import (
     brute_force_catalog_keys,
@@ -251,3 +256,124 @@ class TestComposedDegenerations:
         with pytest.raises(DomainError, match="left the catalog"):
             for _ in iter_degenerations(partial, subsets="single"):
                 pass
+
+
+RECORD_TYPES = [(0, 6), (1, 4), (2, 2), (2, 3), (3, 0), (3, 1)]
+
+
+def type_id(gn) -> str:
+    return f"{gn[0]}-{gn[1]}"
+
+
+def pick_one_of_pair(graph):
+    """An orbit-breaking value: one endpoint of a swappable pair."""
+    for orbit in graph.automorphisms().vertex_orbits:
+        if len(orbit) > 1:
+            return [sorted(orbit)[0]]
+    return []
+
+
+def distinct_steps(raw):
+    """(edge index, pair) of each edge that is not a parallel copy of the
+    edge before it."""
+    edges = raw[3]
+    return [(e, p) for e, p in enumerate(edges) if not e or p != edges[e - 1]]
+
+
+class TestEnumerationRecords:
+    """A freshly enumerated catalog carries the one-edge steps its
+    labellings gave; walks that read them give the records of a catalog
+    without them, and both equal the direct contractions."""
+
+    @pytest.mark.parametrize("gn", RECORD_TYPES, ids=type_id)
+    def test_records_equal_cold_and_direct(self, gn):
+        fresh = enumerate_stable_graphs(*gn)
+        cold = GraphCatalog.from_keys(*gn, fresh.keys)
+        assert fresh._steps is not None and cold._steps is None
+        assert fresh == cold and repr(fresh) == repr(cold)
+        for mode in ("all", "single"):
+            expected = direct_degenerations(cold, mode)
+            assert list(iter_degenerations(fresh, mode)) == expected
+            assert list(iter_degenerations(cold, mode)) == expected
+
+    @pytest.mark.parametrize("gn", RECORD_TYPES + [(2, 0)], ids=type_id)
+    def test_reports_equal_cold(self, gn):
+        fresh = enumerate_stable_graphs(*gn)
+        cold = GraphCatalog.from_keys(*gn, fresh.keys)
+        for mode in ("all", "single"):
+            report = verify_extremal(SEPARATING_BRIDGES, fresh, mode)
+            assert report.ok
+            assert report == verify_extremal(SEPARATING_BRIDGES, cold, mode)
+
+    def test_orbit_breaking_reports_equal_cold(self):
+        fresh = enumerate_stable_graphs(2, 0)
+        cold = GraphCatalog.from_keys(2, 0, fresh.keys)
+        bad = ExtremalAssignment("asymmetric", rule=pick_one_of_pair)
+        for mode in ("all", "single"):
+            report = verify_extremal(bad, fresh, mode)
+            assert len(report.axiom1_violations) == 3
+            assert report == verify_extremal(bad, cold, mode)
+
+    def test_only_rigid_parents_recorded(self):
+        for gn in RECORD_TYPES:
+            steps = enumerate_stable_graphs(*gn)._steps
+            assert all(steps.rigid[steps.position[p]] for p in steps.parents)
+
+    def test_wrong_record_image_detected(self):
+        fresh = enumerate_stable_graphs(0, 6)
+        steps = fresh._steps
+        expected = direct_degenerations(fresh, "single")
+        assert list(iter_degenerations(fresh, "single")) == expected
+        # swap two image entries of a record of a four-vertex graph, away
+        # from the contracted edge
+        t, k = next(
+            (t, len(raw_from_key(key)[0]))
+            for t, key in enumerate(fresh.keys)
+            if len(raw_from_key(key)[0]) == 4 and steps.head[t]
+        )
+        at = (steps.head[t] - 1) * steps.width
+        v = steps.slots[at + k]
+        p, q = [p for p in range(k) if steps.slots[at + p] not in (v, k - 1)]
+        steps.slots[at + p], steps.slots[at + q] = steps.slots[at + q], steps.slots[at + p]
+        walked = list(iter_degenerations(fresh, "single"))
+        changed = [n for n, (a, b) in enumerate(zip(walked, expected)) if a != b]
+        assert changed and all(walked[n].target == fresh.keys[t] for n in changed)
+
+    def test_single_mode_labels_only_loops_and_symmetric_steps(self, monkeypatch):
+        labelled = []
+        for module in (enumeration, assignment):
+            real = module.canonicalize_raw
+
+            def counting(raw, tags=None, real=real):
+                labelled.append(raw)
+                return real(raw, tags)
+
+            monkeypatch.setattr(module, "canonicalize_raw", counting)
+        fresh = enumerate_stable_graphs(0, 6)
+        labelled.clear()
+        assert verify_extremal(SEPARATING_BRIDGES, fresh, "single").ok
+        assert labelled == []
+
+        fresh = enumerate_stable_graphs(2, 3)
+        labelled.clear()
+        assert verify_extremal(SEPARATING_BRIDGES, fresh, "single").ok
+        # axiom 1 labels the symmetric keys with a nonempty value
+        expected = sum(
+            1 for i, key in enumerate(fresh.keys)
+            if SEPARATING_BRIDGES.value_mask(key) and not fresh.known_rigid(i)
+        )
+        for t, key in enumerate(fresh.keys):
+            raw = raw_from_key(key)
+            recorded = fresh._steps.steps_of(t, len(raw[0]))
+            for e, pair in distinct_steps(raw):
+                source = canonicalize_raw(raw_contract(raw, (e,))[0])
+                if pair[0] == pair[1] or source.vertex_aut_order > 1:
+                    expected += 1
+                elif pair not in recorded:
+                    # a rigid source is missed only for a symmetric target,
+                    # whose other edges of the same orbit got the record
+                    assert not fresh.known_rigid(t)
+                    expected += 1
+        # 8 axiom-1 keys, 334 loops, 54 symmetric sources and 37 steps of
+        # symmetric targets without a record
+        assert len(labelled) == expected == 433
