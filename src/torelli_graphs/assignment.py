@@ -23,7 +23,7 @@ from .graph_core import (
     connected_components,
     raw_from_key,
 )
-from .enumeration import GraphCatalog, iter_degenerations
+from .enumeration import GraphCatalog, _walk
 
 SCHEMA = "torelli-graphs/1"
 
@@ -386,14 +386,14 @@ def verify_extremal(
                 f"{len(report.coverage_missing)} catalog entries"
             )
 
-    for i, key in enumerate(catalog.keys):
-        raw = raw_from_key(key)
+    keys = catalog.keys
+    for t, raw, records in _walk(catalog, mode):
+        key = keys[t]
         k = len(raw[0])
         mask = assignment.value_mask(key, raw)
-        full = (1 << k) - 1
-        if mask == full:
+        if mask == (1 << k) - 1:
             report.axiom1_violations.append((key.decode(), "value is not proper"))
-        elif mask and not catalog.known_rigid(i):
+        elif mask and not catalog.known_rigid(t):
             # an empty or full value splits no orbit, and neither does any
             # value on a rigid graph, whose orbits are singletons; only the
             # other keys need their automorphisms
@@ -405,24 +405,20 @@ def verify_extremal(
                     )
                     break
         report.graphs_checked += 1
-
-    for deg in iter_degenerations(catalog, subsets=mode):
-        smask = assignment.value_mask(deg.source)
-        tmask = assignment.value_mask(deg.target)
-        for v, merged in deg.vertex_map:
-            bits = 0
-            for u in merged:
-                bits |= 1 << u
-            if bool(smask & (1 << v)) != (tmask & bits == bits):
-                report.axiom2_violations.append(
-                    (
-                        deg.source.decode(),
-                        deg.target.decode(),
-                        sorted(deg.contracted_indices),
-                        v,
-                    )
-                )
-        report.degenerations_checked += 1
+        outside = [u for u in range(k) if not mask >> u & 1]
+        for i, chosen, where, k1 in records:
+            # source position p is in the value exactly when every target
+            # vertex landing on p is
+            image = (1 << k1) - 1
+            for u in outside:
+                image &= ~(1 << where[u])
+            wrong = assignment.value_mask(keys[i]) ^ image
+            if wrong:
+                report.axiom2_violations += [
+                    (keys[i].decode(), key.decode(), list(chosen), p)
+                    for p in range(k1) if wrong >> p & 1
+                ]
+            report.degenerations_checked += 1
     return report
 
 

@@ -355,8 +355,6 @@ def _check(args) -> None:
             raise DomainError(
                 f"--bound {args.bound} below required {3 * args.genus - 3 + markings}"
             )
-    if args.format not in ("json", "dot"):
-        raise DomainError(f"unknown format {args.format!r}")
     if args.jobs < 1:
         raise DomainError("--jobs must be >= 1")
     args.jobs = min(args.jobs, os.cpu_count() or 1)

@@ -448,6 +448,27 @@ def iter_degenerations(
     walks only one-edge contractions; every multi-edge contraction factors
     through those, which is enough for closure checks.
 
+    The records come from ``_walk``, which keeps each vertex map as a
+    position list; only here does it become a ``Degeneration``.
+    """
+    keys = catalog.keys
+    for t, _, records in _walk(catalog, subsets):
+        for i, chosen, where, k1 in records:
+            members = [[] for _ in range(k1)]
+            for v, p in enumerate(where):
+                members[p].append(v)
+            vmap = tuple((p, frozenset(m)) for p, m in enumerate(members))
+            yield Degeneration(keys[i], keys[t], frozenset(chosen), vmap)
+
+
+def _walk(catalog: GraphCatalog, subsets: str) -> Iterator[tuple]:
+    """The degeneration walk: for each catalog graph in key order, (its
+    index t, its raw, its records).  A record is (source index, contracted
+    edge indices, source position of each vertex of t, source vertex
+    count).  The raw is the one parse of t's key that callers need; the
+    records of t are produced lazily, so a contraction that leaves the
+    catalog stops the walk at that record.
+
     Both modes walk one-edge steps.  A step contracts the edge x <= y of
     catalog graph i0 and gives graph i1, with the position in i1 of each
     position of i0.  A step is read from the catalog's enumeration records
@@ -472,68 +493,44 @@ def iter_degenerations(
     recorded = catalog._steps
 
     def contract(raw, chosen):
-        """Catalog index of ``raw`` contracted along ``chosen``, the vertex
-        map onto that entry, and whether the entry is rigid."""
+        """``raw`` contracted along ``chosen`` and labelled: (catalog index,
+        the position there of each vertex of ``raw``, vertex count, whether
+        the entry is rigid)."""
         child, classes = raw_contract(raw, chosen)
         res = canonicalize_raw(child)
         i = index.get(res.key)
         if i is None:
             raise DomainError("contraction left the catalog; it is incomplete")
-        vmap = tuple(
-            (pos, frozenset(classes[orig])) for pos, orig in enumerate(res.order)
-        )
-        return i, vmap, res.vertex_aut_order == 1
-
-    def position_of(vmap, k):
-        where = [0] * k
-        for pos, merged in vmap:
-            for v in merged:
+        where = [0] * len(raw[0])
+        for pos, orig in enumerate(res.order):
+            for v in classes[orig]:
                 where[v] = pos
-        return where
-
-    def vertex_map(where, k1):
-        members = [[] for _ in range(k1)]
-        for v, p in enumerate(where):
-            members[p].append(v)
-        return tuple((pos, frozenset(m)) for pos, m in enumerate(members))
+        return i, where, len(res.order), res.vertex_aut_order == 1
 
     def recorded_steps(i, k):
         return {} if recorded is None else recorded.steps_of(i, k)
 
-    def step(raw0, x, y):
-        """The step along edge x <= y of ``raw0``, contracted and labelled:
-        (catalog index, new position of each position, vertex count,
-        rigid)."""
-        i1, kmap, rigid = contract(raw0, (raw0[3].index((x, y)),))
-        return i1, position_of(kmap, len(raw0[0])), len(kmap), rigid
-
-    if subsets == "single":
-        for t, target_key in enumerate(keys):
-            raw = raw_from_key(target_key)
-            edges = raw[3]
-            by_pair = recorded_steps(t, len(raw[0]))
-            for e, pair in enumerate(edges):
-                # a parallel copy contracts to the same graph and classes
-                if not e or pair != edges[e - 1]:
-                    i, image, k1, _ = by_pair.get(pair) or step(raw, *pair)
-                    vmap = vertex_map(image, k1)
-                yield Degeneration(keys[i], target_key, frozenset((e,)), vmap)
-        return
+    def single(t, raw):
+        edges = raw[3]
+        by_pair = recorded_steps(t, len(raw[0]))
+        for e, pair in enumerate(edges):
+            # a parallel copy contracts to the same graph and classes
+            if not e or pair != edges[e - 1]:
+                i, where, k1, _ = by_pair.get(pair) or contract(raw, (e,))
+            yield i, (e,), where, k1
 
     # source index -> {(x, y): step}, seeded with the source's records
     steps: dict = {}
-    for t, target_key in enumerate(keys):
-        raw = raw_from_key(target_key)
+
+    def every(t, raw):
         edges = raw[3]
         n_edges = len(edges)
         k = len(raw[0])
         if catalog.known_rigid(t):
             i, where = t, list(range(k))
-            vmap = vertex_map(where, k)
         else:
-            i, vmap, _ = contract(raw, ())
-            where = position_of(vmap, k)
-        yield Degeneration(keys[i], target_key, frozenset(), vmap)
+            i, where, _, _ = contract(raw, ())
+        yield i, (), where, k
         # edge subset -> (source index, its vertex count, source position of
         # each target vertex)
         level = {(): (i, k, where)}
@@ -551,14 +548,18 @@ def iter_degenerations(
                     by_pair = steps[i0] = recorded_steps(i0, k0)
                 found = by_pair.get((x, y))
                 if found is None:
-                    found = by_pair[x, y] = step(raw_from_key(keys[i0]), x, y)
+                    raw0 = raw if i0 == t else raw_from_key(keys[i0])
+                    found = by_pair[x, y] = contract(raw0, (raw0[3].index((x, y)),))
                 i1, image, k1, rigid = found
                 if rigid:
                     where = [image[p] for p in where0]
-                    vmap = vertex_map(where, k1)
                 else:
-                    _, vmap, _ = contract(raw, chosen)
-                    where = position_of(vmap, k)
+                    where = contract(raw, chosen)[1]
                 if r < n_edges:
                     level[chosen] = (i1, k1, where)
-                yield Degeneration(keys[i1], target_key, frozenset(chosen), vmap)
+                yield i1, chosen, where, k1
+
+    records = single if subsets == "single" else every
+    for t, key in enumerate(keys):
+        raw = raw_from_key(key)
+        yield t, raw, records(t, raw)

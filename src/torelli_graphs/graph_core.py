@@ -525,7 +525,10 @@ class StableGraph:
                     raise StructuralError(f"halfedge {h} in two edge pairs")
             mate[h1] = h2
             mate[h2] = h1
-        legmap = {int(lab): h for lab, h in (legs or {}).items()}
+        litems = list(legs.items() if isinstance(legs, dict) else legs or ())
+        legmap = {int(lab): h for lab, h in litems}
+        if len(legmap) != len(litems):
+            raise StructuralError("duplicate leg label")
         if len(set(legmap.values())) != len(legmap):
             raise StructuralError("two legs on one halfedge")
         for lab, h in legmap.items():
@@ -799,13 +802,13 @@ class StableGraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "StableGraph":
         try:
-            vertices = {int(v["id"]): int(v["genus"]) for v in data["vertices"]}
+            vertices = [(int(v["id"]), int(v["genus"])) for v in data["vertices"]]
             halfedges = [(int(h["id"]), int(h["vertex"])) for h in data["halfedges"]]
             edges = [(int(a), int(b)) for a, b in data["edges"]]
             legs = data.get("legs", {})
             if not isinstance(legs, dict):
                 raise StructuralError("bad graph JSON: legs must be an object")
-            legs = {int(lab): int(h) for lab, h in legs.items()}
+            legs = [(int(lab), int(h)) for lab, h in legs.items()]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(f"bad graph JSON: {exc}") from exc
         return cls(vertices, halfedges, edges, legs)

@@ -312,7 +312,15 @@ class TestMalformedInput:
          b'{"vertices": [{"id": 0, "genus": 1e999}], "halfedges": [], "edges": []}'),
         (["fiber-check", "--axis"],
          b'{"components": [{"id": 0, "genus": 1}], "singular_points": [], "genus": 1e999}'),
-    ], ids=["not-utf8", "deep-nesting", "graph-genus-overflow", "axis-genus-overflow"])
+        (["contract", "--graph"],
+         b'{"vertices": [{"id": 0, "genus": 1}, {"id": 0, "genus": 2}], '
+         b'"halfedges": [], "edges": []}'),
+        (["contract", "--graph"],
+         b'{"vertices": [{"id": 0, "genus": 1}], '
+         b'"halfedges": [{"id": 0, "vertex": 0}, {"id": 1, "vertex": 0}], '
+         b'"edges": [], "legs": {"1": 0, "01": 1}}'),
+    ], ids=["not-utf8", "deep-nesting", "graph-genus-overflow", "axis-genus-overflow",
+            "duplicate-vertex-id", "duplicate-leg-label"])
     def test_exit_one_with_one_error_line(self, capsys, tmp_path, argv, content):
         path = tmp_path / "in.json"
         path.write_bytes(content)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -377,3 +378,47 @@ class TestEnumerationRecords:
         # 8 axiom-1 keys, 334 loops, 54 symmetric sources and 37 steps of
         # symmetric targets without a record
         assert len(labelled) == expected == 433
+
+
+class TestVerifyReportsPinned:
+    """The full ``verify_extremal`` reports, violation lists included, of
+    the built-in rule and of an orbit-breaking one, on enumerated and on
+    ``from_keys`` catalogs."""
+
+    # sha256 over json.dumps(report.to_json_dict(), sort_keys=True) of every
+    # report, one a line, in the loop order of the test; computed when the
+    # walk still built a Degeneration for every record
+    PINNED = "b8fe2a2636977acedf7caa5d45cbad6f0a7e6629b514c43c615fded6d8370b0d"
+
+    def test_reports_pinned(self):
+        bad = ExtremalAssignment("asymmetric", rule=pick_one_of_pair)
+        lines = []
+        axiom2 = {}
+        for gn in RECORD_TYPES + [(2, 0)]:
+            fresh = enumerate_stable_graphs(*gn)
+            for cat in (fresh, GraphCatalog.from_keys(*gn, fresh.keys)):
+                for rule in (SEPARATING_BRIDGES, bad):
+                    for mode in ("all", "single"):
+                        report = verify_extremal(rule, cat, mode)
+                        lines.append(json.dumps(report.to_json_dict(), sort_keys=True))
+                        if rule is bad:
+                            axiom2[gn, mode] = len(report.axiom2_violations)
+        assert axiom2[(3, 1), "all"] == 1001 and axiom2[(2, 3), "all"] == 486
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.PINNED
+
+    def test_each_key_parsed_once(self, monkeypatch):
+        parsed = []
+        for module in (enumeration, assignment):
+            real = module.raw_from_key
+
+            def counting(key, real=real):
+                parsed.append(key)
+                return real(key)
+
+            monkeypatch.setattr(module, "raw_from_key", counting)
+        fresh = enumerate_stable_graphs(0, 6)
+        for mode in ("all", "single"):
+            parsed.clear()
+            assert verify_extremal(SEPARATING_BRIDGES, fresh, mode).ok
+            assert sorted(parsed) == fresh.keys

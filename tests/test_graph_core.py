@@ -46,6 +46,11 @@ class TestConstruction:
         with pytest.raises(StructuralError):
             StableGraph({0: 1}, [(0, 0)], [], {1: 0, 2: 0})
 
+    def test_duplicate_leg_label(self):
+        # "1" and "01" are one label once read as integers
+        with pytest.raises(StructuralError, match="duplicate leg label"):
+            StableGraph({0: 1}, [(0, 0), (1, 0)], [], {"1": 0, "01": 1})
+
 
 class TestGenus:
     def test_single_genus2(self):
