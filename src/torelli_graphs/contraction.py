@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph_core import (
     MAX_GENUS,
@@ -405,14 +406,29 @@ def _fiber_menus(axis: AxisGraph) -> tuple:
     return big, [_tree_menu(p.multiplicity) for _, p in big]
 
 
-def _raw_strata(axis: AxisGraph):
-    """Yield the fiber as ((vertex -> genus, halfedge -> vertex, edge pairs,
-    leg -> halfedge), inserted vertex ids, choice): the data of the graphs
-    of ``iter_fiber_strata``, in its order and with its ids.  The leg map
-    is one object shared by every stratum."""
+class _StrataBase(NamedTuple):
+    """What every stratum of a fiber shares: the points of multiplicity
+    >= 3 and their flat tree menus (``_fiber_menus``), the components' genera,
+    the halfedges of slots and legs with their vertices, the node edges,
+    the leg map, the first tree halfedge id, the first inserted vertex id,
+    and the slot halfedges of each menu point (leaf i is glued to slot i;
+    slots are sorted)."""
+
+    big: list
+    menus: list
+    genus: dict
+    hvertex: dict
+    epairs: list
+    legs: dict
+    first_tree_hid: int
+    fresh_start: int
+    leaf_slots: list
+
+
+def _strata_base(axis: AxisGraph) -> _StrataBase:
+    """The per-axis half of ``_raw_strata``."""
     big, menus = _fiber_menus(axis)
     genus = {cid: axis.component_genus(cid) for cid in axis.components()}
-    # the halfedges of slots, legs and nodes are the same in every stratum
     h = 10_000_000
     hvertex = {}
     slot_hid = {}
@@ -431,34 +447,140 @@ def _raw_strata(axis: AxisGraph):
         (slot_hid[p.slots[0]], slot_hid[p.slots[1]])
         for p in axis.singular_points() if p.multiplicity == 2
     ]
-    first_tree_hid = h
-    fresh_start = max(genus) + 1
-    # leaf i of a point's tree is glued to its i-th slot (slots are sorted)
     leaf_slots = [[slot_hid[slot] for slot in p.slots] for _, p in big]
+    return _StrataBase(
+        big, menus, genus, hvertex, epairs, legs, h, max(genus) + 1, leaf_slots
+    )
 
-    for combo in itertools.product(*(range(len(menu)) for menu in menus)):
-        s_genus = dict(genus)
-        s_hvertex = dict(hvertex)
-        s_epairs = list(epairs)
-        h = first_tree_hid
-        base = fresh_start
-        for menu, pick, slots in zip(menus, combo, leaf_slots):
-            tree = menu[pick]
-            m = len(slots)
-            for j in range(m, len(tree), 2):
-                s_hvertex[h] = base + tree[j]
-                s_hvertex[h + 1] = base + tree[j + 1]
-                s_epairs.append((h, h + 1))
-                h += 2
-            for leaf_vertex, slot_h in zip(tree, slots):
-                s_hvertex[h] = base + leaf_vertex
-                s_epairs.append((h, slot_h))
-                h += 1
-            nv = (len(tree) - m) // 2 + 1
-            for v in range(base, base + nv):
-                s_genus[v] = 0
-            base += nv
-        yield (s_genus, s_hvertex, s_epairs, legs), frozenset(range(fresh_start, base)), combo
+
+def _build_stratum(base: _StrataBase, combo) -> tuple:
+    """The stratum of one choice of tree per menu point, as
+    ((vertex -> genus, halfedge -> vertex, edge pairs, leg -> halfedge),
+    inserted vertex ids)."""
+    s_genus = dict(base.genus)
+    s_hvertex = dict(base.hvertex)
+    s_epairs = list(base.epairs)
+    h = base.first_tree_hid
+    v0 = base.fresh_start
+    for menu, pick, slots in zip(base.menus, combo, base.leaf_slots):
+        tree = menu[pick]
+        m = len(slots)
+        for j in range(m, len(tree), 2):
+            s_hvertex[h] = v0 + tree[j]
+            s_hvertex[h + 1] = v0 + tree[j + 1]
+            s_epairs.append((h, h + 1))
+            h += 2
+        for leaf_vertex, slot_h in zip(tree, slots):
+            s_hvertex[h] = v0 + leaf_vertex
+            s_epairs.append((h, slot_h))
+            h += 1
+        nv = (len(tree) - m) // 2 + 1
+        for v in range(v0, v0 + nv):
+            s_genus[v] = 0
+        v0 += nv
+    return (s_genus, s_hvertex, s_epairs, base.legs), frozenset(range(base.fresh_start, v0))
+
+
+def _combos(base: _StrataBase):
+    """The choices of a fiber, in the order of ``fiber_strata``."""
+    return itertools.product(*(range(len(menu)) for menu in base.menus))
+
+
+def _raw_strata(axis: AxisGraph):
+    """Yield the fiber as ((vertex -> genus, halfedge -> vertex, edge pairs,
+    leg -> halfedge), inserted vertex ids, choice): the data of the graphs
+    of ``iter_fiber_strata``, in its order and with its ids.  The leg map
+    is one object shared by every stratum."""
+    base = _strata_base(axis)
+    for combo in _combos(base):
+        yield (*_build_stratum(base, combo), combo)
+
+
+def _slot_classes(axis: AxisGraph, big) -> list:
+    """For each menu point, its slots that are joined without its own
+    tree, as bitmasks over its slot indices, one per class of two or more
+    slots.  Every tree joins all of its slots, so whatever the trees, the
+    joins go through the components, the nodes and the other points taken
+    as stars."""
+    cids = axis.components()
+    points = axis.singular_points()
+    out = []
+    for i, p in big:
+        comps = connected_components(cids, _glue(points[:i] + points[i + 1:]))
+        comp_of = {c: k for k, comp in enumerate(comps) for c in comp}
+        masks: dict = {}
+        for j, (cid, _) in enumerate(p.slots):
+            masks[comp_of[cid]] = masks.get(comp_of[cid], 0) | 1 << j
+        out.append(tuple(mask for mask in masks.values() if mask & (mask - 1)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _tree_splits(m: int, pick: int) -> tuple:
+    """The edges of tree ``pick`` of ``_tree_menu(m)`` as (end, end, split),
+    where split is the bitmask of the leaves on the edge's side away from
+    leaf 1 (bit i for leaf i + 1)."""
+    tree = _tree_menu(m)[pick]
+    ends = tree[m:]
+    below = [0] * (len(ends) // 2 + 1)
+    for i, v in enumerate(tree[:m]):
+        below[v] |= 1 << i
+    adj = [[] for _ in below]
+    for u, w in zip(ends[::2], ends[1::2]):
+        adj[u].append(w)
+        adj[w].append(u)
+    parent = [-1] * len(below)
+    parent[tree[0]] = tree[0]
+    order = [tree[0]]
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
+                parent[u] = v
+                order.append(u)
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return tuple(
+        (u, w, below[w] if parent[w] == u else below[u])
+        for u, w in zip(ends[::2], ends[1::2])
+    )
+
+
+def _pick_signature(m: int, pick: int, classes) -> frozenset:
+    """The edges of tree ``pick`` that no stratum's ``pst`` cuts as
+    bridges, on a point whose slot classes are ``classes``: one set per
+    tree vertex that keeps any, naming a tree edge by its split and the
+    edge from leaf i + 1 to its slot by ``1 << i``.  A tree edge survives
+    when some class meets both of its sides, a slot edge when its slot's
+    class holds another slot."""
+    if not classes:
+        return frozenset()  # every slot alone: every edge is a bridge
+    at: dict = {}
+    for u, w, split in _tree_splits(m, pick):
+        if any(c & split and c & ~split for c in classes):
+            at.setdefault(u, []).append(split)
+            at.setdefault(w, []).append(split)
+    for i, v in enumerate(_tree_menu(m)[pick][:m]):
+        if any(c >> i & 1 for c in classes):
+            at.setdefault(v, []).append(1 << i)
+    return frozenset(frozenset(edges) for edges in at.values())
+
+
+def _signed_combos(axis: AxisGraph, base: _StrataBase):
+    """Yield each choice of the fiber, in the order of ``fiber_strata``,
+    with its signature: the ``_pick_signature`` of every menu point, each
+    computed once per pick, when first needed."""
+    points = [
+        (p.multiplicity, classes, {})
+        for (_, p), classes in zip(base.big, _slot_classes(axis, base.big))
+    ]
+    for combo in _combos(base):
+        sig = []
+        for (m, classes, seen), pick in zip(points, combo):
+            s = seen.get(pick)
+            if s is None:
+                s = seen[pick] = _pick_signature(m, pick, classes)
+            sig.append(s)
+        yield combo, tuple(sig)
 
 
 def iter_fiber_strata(axis: AxisGraph):

@@ -22,7 +22,13 @@ from .graph_core import (
     bridge_edge_indices,
     canonicalize_raw,
 )
-from .contraction import AxisGraph, _raw_strata, classify_axis_points
+from .contraction import (
+    AxisGraph,
+    _build_stratum,
+    _raw_strata,
+    _signed_combos,
+    _strata_base,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +434,50 @@ def _stratum_key(stratum) -> bytes:
     return _pieces_key(_pst_pieces(genus, hvertex, edges))
 
 
+def _fiber_keys(axis: AxisGraph):
+    """Yield the class key of every stratum, in the order of
+    ``fiber_strata``.  Only a stratum whose signature is new is built and
+    keyed; stratum 0 is also built as a ``StableGraph``, which runs the
+    structural checks once per fiber."""
+    base = _strata_base(axis)
+    keys: dict = {}
+    for i, (combo, sig) in enumerate(_signed_combos(axis, base)):
+        key = keys.get(sig)
+        if key is None:
+            stratum, _ = _build_stratum(base, combo)
+            if not i:
+                StableGraph(*stratum)
+            key = keys[sig] = _stratum_key(stratum)
+        yield key
+
+
 def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     """Decide whether all stable models over an axis graph share one class.
 
     Strata are keyed lazily, in the order of ``fiber_strata``, and the
     check stops at the first stratum whose class key differs from the
     first one; its index is the witness.  The verdict is constant when all
-    keys agree.  Strata are keyed on raw data; only stratum 0 is built as a
-    ``StableGraph``, which runs the structural checks once per fiber.
+    keys agree.
+
+    A stratum is keyed only when its signature is new to the fiber.  Every
+    tree joins all of its slots, so which slots of a point P are joined
+    without P's tree (its slot classes) does not depend on the trees: the
+    joins go through the components, the nodes and the other points taken
+    as stars.  Hence an edge of P's tree whose leaf side is S is a bridge
+    exactly when no slot class meets both S and its complement, and the
+    edge from a leaf to its slot is a bridge exactly when that slot's class
+    holds no other slot of P.  Whether a node is a bridge does not depend
+    on the trees either.  So which edges of P's tree survive ``pst``
+    depends on P's pick alone.  P's signature lists, for each tree vertex
+    that keeps an edge, the set of its surviving edges, naming a tree edge
+    by its leaf side away from leaf 1 and a slot edge by its slot.  Two
+    strata with equal signatures at every point have isomorphic bridgeless
+    parts: map the components and nodes to themselves, and each tree
+    vertex to the vertex with the same set of surviving edges, which is
+    unique because a tree edge whose two ends kept nothing else would be a
+    bridge; tree vertices that keep nothing are bare genus-zero pieces,
+    which ``pst`` drops.  So their class keys are equal, and the piece
+    checks pass or fail on both alike.
 
     Equal keys also rule out a moduli remnant, an inserted vertex that
     survives ``pst`` with valence at least 4.  Split such a vertex v in its
@@ -446,20 +488,15 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     stratum's piece has one more genus-zero vertex, so its key differs and
     some stratum's key differs from the first.
     """
-    cls = classify_axis_points(axis)
-    if not cls.is_axis_like:
+    if any(p.genus for p in axis.singular_points()) or axis.absorbed_legs():
         raise DomainError("fiber constancy needs an axis-like input (type (0,m) "
                           "points avoiding markings)")
     if axis.genus() < 1:
         raise DomainError("genus-zero axis graphs have no class")
-    first = None
-    for i, (stratum, _, _) in enumerate(_raw_strata(axis)):
-        if not i:
-            StableGraph(*stratum)  # the structural checks, once per fiber
-        key = _stratum_key(stratum)
-        if first is None:
-            first = key
-        elif key != first:
+    keys = _fiber_keys(axis)
+    first = next(keys)
+    for i, key in enumerate(keys, 1):
+        if key != first:
             return FiberVerdict(
                 "varies",
                 None,

@@ -59,6 +59,47 @@ def naive_separating_edges(graph: StableGraph) -> frozenset:
     return frozenset(out)
 
 
+def surviving_inserted_edges(graph: StableGraph, inserted) -> frozenset:
+    """The non-separating edges at the ``inserted`` vertices of a fiber
+    stratum, one set per inserted vertex that keeps any.  An edge to a
+    component is named by its halfedge on the component; an edge between
+    inserted vertices by the two sets of such halfedges beyond its ends,
+    reached through inserted vertices only.  Strata with equal results have
+    the same bridgeless part, up to the ids of inserted vertices."""
+    bridges = naive_separating_edges(graph)
+    at = {}  # inserted vertex -> (edge, far halfedge) per incident edge
+    for a, b in graph.edges():
+        for x, y in ((a, b), (b, a)):
+            if graph.vertex_of(x) in inserted:
+                at.setdefault(graph.vertex_of(x), []).append(((a, b), y))
+
+    def beyond(v, cut):
+        out, seen, stack = set(), {v}, [v]
+        while stack:
+            for e, y in at[stack.pop()]:
+                u = graph.vertex_of(y)
+                if e == cut:
+                    continue
+                if u not in inserted:
+                    out.add(y)
+                elif u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return frozenset(out)
+
+    sets = []
+    for v, incident in at.items():
+        names = set()
+        for e, y in incident:
+            if e in bridges:
+                continue
+            u = graph.vertex_of(y)
+            names.add(y if u not in inserted else frozenset((beyond(v, e), beyond(u, e))))
+        if names:
+            sets.append(frozenset(names))
+    return frozenset(sets)
+
+
 # ---------------------------------------------------------------------------
 # Brute-force isomorphism and automorphisms at the halfedge level.
 # ---------------------------------------------------------------------------

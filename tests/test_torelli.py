@@ -30,7 +30,9 @@ from _oracles import (
     exhaustive_fiber_verdict,
     naive_separating_edges,
     random_order_stabilize_keys,
+    surviving_inserted_edges,
 )
+import torelli_graphs.contraction as contraction
 import torelli_graphs.graph_core as graph_core
 import torelli_graphs.torelli as torelli_module
 
@@ -489,6 +491,47 @@ def slot_orders(profiles):
     return [(p, r) for p in profiles for r in (False, True)[: 2 if sum(p) == 5 else 1]]
 
 
+def genus_one_axis(n_components, *points):
+    """Genus-1 components 0..n-1 and genus-0 points, each given by its
+    slots."""
+    return AxisGraph([(c, 1, []) for c in range(n_components)],
+                     [SingularPoint(0, tuple(slots)) for slots in points])
+
+
+# axes with two points of multiplicity >= 3: the fiber is a product, and
+# the first point's pick varies slowest
+MULTI_POINT_AXES = {
+    # a separating 4-slot point over components 0-3 and a separating
+    # 5-slot point over 3-7: constant, 4 * 26 strata
+    "separating-4-5": genus_one_axis(
+        8,
+        [(0, 0), (1, 0), (2, 0), (3, 0)],
+        [(3, 1), (4, 0), (5, 0), (6, 0), (7, 0)],
+    ),
+    # both points on components 0-3, the second with a second slot on 0:
+    # each joins the other's slots, 4 * 26 strata
+    "shared-components": genus_one_axis(
+        4,
+        [(0, 0), (1, 0), (2, 0), (3, 0)],
+        [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2)],
+    ),
+    # a separating first point and a (2,2,1) second point: the first
+    # differing stratum changes only the second point's pick
+    "second-point-varies": genus_one_axis(
+        6,
+        [(0, 0), (1, 0), (2, 0), (3, 0)],
+        [(0, 1), (4, 0), (4, 1), (5, 0), (5, 1)],
+    ),
+    # a (2,2,1) first point and a separating second point: every pick of
+    # the second point comes before the first differing stratum
+    "first-point-varies": genus_one_axis(
+        7,
+        [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)],
+        [(2, 1), (3, 0), (4, 0), (5, 0), (6, 0)],
+    ),
+}
+
+
 def fiber_constant_axes(catalog):
     """The axes of ``TestFiberConstant``, and the rule-F contractions of
     every (3,0) and (2,2) graph."""
@@ -530,6 +573,19 @@ class TestFiberEarlyExit:
         assert verdict.constant
         assert verdict == exhaustive_fiber_verdict(axis)
 
+    def test_matches_exhaustive_on_multi_point_axes(self):
+        verdicts = {}
+        for name, axis in MULTI_POINT_AXES.items():
+            verdicts[name] = fiber_constant(axis)
+            assert verdicts[name] == exhaustive_fiber_verdict(axis), name
+        assert verdicts["separating-4-5"].constant
+        assert verdicts["shared-components"].verdict == "varies"
+        # product order: stratum i has picks (i // 26, i % 26)
+        _, i = verdicts["second-point-varies"].witness
+        assert 0 < i < 26
+        _, i = verdicts["first-point-varies"].witness
+        assert i >= 26
+
     def test_raw_strata_match_fiber_strata(self, catalog):
         axes = fiber_constant_axes(catalog) + [
             profile_axis(profile, reverse)
@@ -566,15 +622,59 @@ class TestFiberEarlyExit:
 
     @pytest.mark.parametrize("profile", [(2, 2, 1), (2, 2, 1, 1), (4, 1, 1)])
     def test_keys_stop_at_witness(self, profile, monkeypatch):
-        calls = []
-        stratum_key = torelli_module._stratum_key
-
-        def counting_stratum_key(stratum):
-            calls.append(stratum)
-            return stratum_key(stratum)
-
-        monkeypatch.setattr(torelli_module, "_stratum_key", counting_stratum_key)
-        verdict = fiber_constant(profile_axis(profile))
+        axis = profile_axis(profile)
+        calls = count_stratum_keys(monkeypatch)
+        verdict = fiber_constant(axis)
         _, i = verdict.witness
         assert verdict.reason == "fiber strata have differing class keys"
-        assert i > 0 and len(calls) == i + 1
+        # the keyed strata are strata up to the witness, in order, and
+        # include stratum 0 and the witness
+        raw = [stratum for stratum, _, _ in torelli_module._raw_strata(axis)]
+        keyed = [raw.index(stratum) for stratum in calls]
+        assert keyed == sorted(set(keyed))
+        assert keyed[0] == 0 and keyed[-1] == i
+
+    def test_memo_keys_match_stratum_keys(self, catalog):
+        axes = fiber_constant_axes(catalog) + list(MULTI_POINT_AXES.values())
+        for axis in axes:
+            assert list(torelli_module._fiber_keys(axis)) == [
+                torelli_module._stratum_key(stratum)
+                for stratum, _, _ in torelli_module._raw_strata(axis)
+            ]
+
+    def test_signatures_match_surviving_edges(self, catalog):
+        # two strata share a signature exactly when a naive bridge search
+        # on their graphs leaves the same edges at the inserted vertices
+        five_slot = [p for p in GENERAL_PROFILES + QUASI_SEPARATING_PROFILES if sum(p) == 5]
+        axes = fiber_constant_axes(catalog) + list(MULTI_POINT_AXES.values()) + [
+            profile_axis(profile, reverse) for profile, reverse in slot_orders(five_slot)
+        ]
+        for axis in axes:
+            fs = fiber_strata(axis)
+            base = contraction._strata_base(axis)
+            memo = [sig for _, sig in contraction._signed_combos(axis, base)]
+            naive = [
+                surviving_inserted_edges(graph, inserted)
+                for graph, inserted in zip(fs.graphs, fs.inserted_vertices)
+            ]
+            assert len(set(zip(memo, naive))) == len(set(memo)) == len(set(naive))
+
+    def test_constant_seven_slot_fiber_keyed_once(self, monkeypatch):
+        axis = profile_axis((1,) * 7)
+        calls = count_stratum_keys(monkeypatch)
+        assert fiber_constant(axis).constant
+        assert fiber_strata(axis).total == 2752
+        assert len(calls) == 1
+
+
+def count_stratum_keys(monkeypatch) -> list:
+    """Record every stratum that ``fiber_constant`` keys."""
+    calls = []
+    stratum_key = torelli_module._stratum_key
+
+    def counting_stratum_key(stratum):
+        calls.append(stratum)
+        return stratum_key(stratum)
+
+    monkeypatch.setattr(torelli_module, "_stratum_key", counting_stratum_key)
+    return calls
