@@ -213,35 +213,50 @@ def z_contract(graph: StableGraph, chosen) -> AxisGraph:
     Legs on contracted vertices are absorbed into the point (flagging the
     result as invalid axis-like data).  The total genus is preserved.
     """
+    (genera, legs, branch, edges), vids, halves = graph._raw_data()
     chosen = frozenset(chosen)
-    vs = set(graph.vertices())
+    vs = set(vids)
     if not chosen <= vs:
         raise DomainError("chosen vertices not in graph")
     if chosen == vs:
         raise DomainError("chosen subset must be proper")
     if not graph.is_stable():
         raise DomainError("input graph must be stable")
-    if graph.branch_points():
+    if any(branch):
         raise DomainError("input graph must not carry branch points")
 
-    points = []
-    for comp in graph.induced_components(chosen):
-        internal = 0
-        slots = []
-        absorbed = []
+    comps = graph.induced_components(chosen)
+    index = {v: i for i, v in enumerate(vids)}
+    point_of = [-1] * len(vids)  # per raw index, the point it goes to
+    for j, comp in enumerate(comps):
         for v in comp:
-            absorbed.extend(graph.legs_at(v))
-        for e in graph.edges():
-            u, w = graph.edge_vertices(e)
-            if u in comp and w in comp:
-                internal += 1
-            elif u in comp:
-                slots.append((w, e[1 if graph.vertex_of(e[1]) == w else 0]))
-            elif w in comp:
-                slots.append((u, e[1 if graph.vertex_of(e[1]) == u else 0]))
-        g_j = sum(graph.vertex_genus(v) for v in comp) + internal - len(comp) + 1
-        m_j = len(slots)
-        n_j = len(absorbed)
+            point_of[index[v]] = j
+    internal = [0] * len(comps)
+    slots = [[] for _ in comps]
+    absorbed = [[] for _ in comps]
+    leg_at = [[] for _ in vids]
+    for lab, u in legs:
+        if point_of[u] < 0:
+            leg_at[u].append(lab)
+        else:
+            absorbed[point_of[u]].append(lab)
+    nodes = []
+    for (u, w), (hu, hw) in zip(edges, halves):
+        pu, pw = point_of[u], point_of[w]
+        if pu >= 0 and pu == pw:
+            internal[pu] += 1
+        elif pu >= 0:
+            slots[pu].append((vids[w], hw))
+        elif pw >= 0:
+            slots[pw].append((vids[u], hu))
+        else:
+            nodes.append((min(hu, hw), ((vids[u], hu), (vids[w], hw))))
+
+    points = []
+    for j, comp in enumerate(comps):
+        g_j = sum(genera[index[v]] for v in comp) + internal[j] - len(comp) + 1
+        m_j = len(slots[j])
+        n_j = len(absorbed[j])
         if m_j < 2:
             raise DomainError(
                 f"component {sorted(comp)} attaches by {m_j} < 2 edges; its "
@@ -252,14 +267,13 @@ def z_contract(graph: StableGraph, chosen) -> AxisGraph:
                 f"component {sorted(comp)} is not stable as a "
                 f"({m_j}+{n_j})-pointed genus-{g_j} graph"
             )
-        points.append(SingularPoint(g_j, tuple(slots), tuple(absorbed)))
-
-    survivors = sorted(vs - chosen)
-    for e in graph.edges():
-        u, w = graph.edge_vertices(e)
-        if u not in chosen and w not in chosen:
-            points.append(SingularPoint(0, ((u, e[0]), (w, e[1])), ()))
-    components = [(v, graph.vertex_genus(v), graph.legs_at(v)) for v in survivors]
+        points.append(SingularPoint(g_j, tuple(slots[j]), tuple(absorbed[j])))
+    # nodes in the order of graph.edges(), by their smaller halfedge
+    nodes.sort()
+    points += [SingularPoint(0, ends, ()) for _, ends in nodes]
+    components = [
+        (v, genera[i], tuple(leg_at[i])) for i, v in enumerate(vids) if point_of[i] < 0
+    ]
     return AxisGraph(components, points)
 
 

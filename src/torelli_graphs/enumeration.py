@@ -138,9 +138,13 @@ class GraphCatalog:
         return key in self.index
 
     def graph(self, i: int) -> StableGraph:
+        """The representative of key i (``StableGraph.from_canonical_key``):
+        it keeps the parsed key as its raw, which its raw-level operations
+        read; its halfedge dicts are built on first use."""
         return StableGraph.from_canonical_key(self.keys[i])
 
     def graphs(self) -> Iterator[StableGraph]:
+        """The representatives in key order, each as ``graph`` gives it."""
         for key in self.keys:
             yield StableGraph.from_canonical_key(key)
 

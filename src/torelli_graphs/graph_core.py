@@ -8,7 +8,8 @@ records where an edge was cut and keeps its id, so cutting and regluing
 round-trips exactly.
 
 Graphs are immutable after construction and always connected.  Edge ids are
-the sorted pair of their two halfedge ids.
+the sorted pair of their two halfedge ids.  A graph built from a raw tuple
+(below) keeps it and builds its halfedge dicts only when they are read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
@@ -373,33 +375,104 @@ _NUMBER = _NumberText()
 
 
 def raw_from_key(key: bytes) -> Raw:
-    """Parse an untagged canonical key back into a raw graph."""
+    """Parse an untagged canonical key back into a raw graph.  A key it
+    cannot read, or whose vertex count disagrees with its genera, raises
+    StructuralError; vertex ends are not checked here (``from_raw`` does)."""
     text = key.decode("ascii")
     parts = text.split(";")
     if parts[0] != "TG1":
         raise StructuralError(f"not a graph key: {text[:40]!r}")
-    fields = dict([p.split("=", 1) for p in parts[1:]])
     num = _NUMBER.__getitem__
-    k = num(fields["k"])
-    genera = tuple(map(num, fields["g"].split(","))) if fields["g"] else ()
-    legs = tuple(
-        [
-            (num(a), num(b))
-            for a, b in [item.split(":") for item in fields["l"].split(",") if item]
-        ]
-    )
-    branch = [0] * k
-    for item in fields["b"].split(","):
-        if item:
-            p, c = item.split(":")
-            branch[num(p)] = num(c)
-    edges = tuple(
-        [
-            (num(u), num(v))
-            for u, v in [item.split("-") for item in fields["e"].split(",") if item]
-        ]
-    )
+    try:
+        fields = dict([p.split("=", 1) for p in parts[1:]])
+        k = num(fields["k"])
+        genera = tuple(map(num, fields["g"].split(","))) if fields["g"] else ()
+        legs = tuple(
+            [
+                (num(a), num(b))
+                for a, b in [item.split(":") for item in fields["l"].split(",") if item]
+            ]
+        )
+        branch = [0] * k
+        for item in fields["b"].split(","):
+            if item:
+                p, c = item.split(":")
+                branch[num(p)] = num(c)
+        edges = tuple(
+            [
+                (num(u), num(v))
+                for u, v in [item.split("-") for item in fields["e"].split(",") if item]
+            ]
+        )
+    except (KeyError, ValueError, IndexError) as exc:
+        raise StructuralError(f"not a graph key: {text[:40]!r}") from exc
+    if len(genera) != k:
+        raise StructuralError(f"key has k={k} but {len(genera)} genera: {text[:40]!r}")
     return (genera, legs, tuple(branch), edges)
+
+
+def _check_raw(raw: Raw) -> None:
+    """Refuse a raw tuple that is not a connected graph in the raw format."""
+    genera, legs, branch, edges = raw
+    k = len(genera)
+    if not k:
+        raise StructuralError("graph needs at least one vertex")
+    for v, g in enumerate(genera):
+        if not 0 <= g <= MAX_GENUS:
+            raise StructuralError(f"vertex {v}: genus {g} out of range")
+    if len(branch) != k or min(branch) < 0:
+        raise StructuralError("raw graph needs one branch-point count per vertex")
+    labels = [lab for lab, _ in legs]
+    if len(set(labels)) != len(labels):
+        raise StructuralError("duplicate leg label")
+    if labels != sorted(labels):
+        raise StructuralError("raw legs out of label order")
+    for lab, v in legs:
+        if not 0 <= v < k:
+            raise StructuralError(f"leg {lab} on unknown vertex {v}")
+    for u, v in edges:
+        if not 0 <= u <= v < k:
+            raise StructuralError(f"raw edge ({u}, {v}) is not a pair u <= v below {k}")
+    if list(edges) != sorted(edges):
+        raise StructuralError("raw edges out of order")
+    if len(connected_components(range(k), edges)) != 1:
+        raise StructuralError("graph is not connected")
+
+
+@lru_cache(maxsize=None)
+def _build_edges(n: int) -> tuple:
+    """Edge ids of the ``build`` numbering: edge i is (2i, 2i + 1)."""
+    return tuple((h, h + 1) for h in range(0, 2 * n, 2))
+
+
+# the halfedge dicts of a StableGraph, which a graph built from a raw
+# fills from it on first use
+_VIEWS = ("_genus", "_hvertex", "_mate", "_legs", "_h_at", "_branch")
+
+
+def _raw_views(raw: Raw) -> tuple:
+    """The values of ``_VIEWS`` for a checked raw graph, in the ``build``
+    numbering: edge i carries halfedges (2i, 2i + 1), then come the legs
+    in label order, then one stub per branch point."""
+    genera, legs, branch, edges = raw
+    ends = [v for e in edges for v in e] + [v for _, v in legs]
+    ends += [v for v, c in enumerate(branch) for _ in range(c)]
+    n = 2 * len(edges)
+    mate = {}
+    for h in range(0, n, 2):
+        mate[h] = h + 1
+        mate[h + 1] = h
+    h_at: dict = {v: [] for v in range(len(genera))}
+    for h, v in enumerate(ends):
+        h_at[v].append(h)
+    return (
+        dict(enumerate(genera)),
+        dict(enumerate(ends)),
+        mate,
+        {lab: h for h, (lab, _) in enumerate(legs, n)},
+        {v: tuple(hs) for v, hs in h_at.items()},
+        frozenset(range(n + len(legs), len(ends))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +565,19 @@ class AutomorphismGroup:
 
 
 class StableGraph:
+    """A connected graph, held as halfedge dicts (the ``_VIEWS`` and
+    ``_edges``), as a raw tuple (``_raw``), or both.
+
+    ``__init__`` validates halfedge data and fills the dicts; the raw is
+    computed from them on first use (``_raw_data``).  ``from_raw`` checks a
+    raw tuple and keeps it, in a ``_RawGraph`` that builds the dicts on
+    first use.  ``_raw`` is (raw, vertex id per raw index, halfedge pair per
+    raw edge (u, v): the one at u, then the one at v), or None until then.
+    """
+
     __slots__ = (
         "_genus", "_hvertex", "_mate", "_legs",
-        "_h_at", "_edges", "_branch", "_canon",
+        "_h_at", "_edges", "_branch", "_canon", "_raw",
     )
 
     def __init__(self, vertices, halfedges, edges, legs):
@@ -552,6 +635,7 @@ class StableGraph:
             h for h in hvertex if h not in mate and h not in legged
         )
         self._canon = None
+        self._raw = None
         if len(connected_components(genus, [(hvertex[a], hvertex[b]) for a, b in es])) != 1:
             raise StructuralError("graph is not connected")
 
@@ -584,14 +668,17 @@ class StableGraph:
 
     @classmethod
     def from_raw(cls, raw: Raw) -> "StableGraph":
-        genera, legs, branch, edges = raw
-        stubs = [v for v, c in enumerate(branch) for _ in range(c)]
-        return cls.build(
-            dict(enumerate(genera)),
-            edges,
-            {lab: v for lab, v in legs},
-            stubs,
-        )
+        """The graph of a raw tuple, which it keeps: vertex ids are raw
+        indices, and halfedge ids follow the ``build`` numbering (edge i
+        carries (2i, 2i + 1), then the legs in label order, then the
+        branch stubs).  The raw is checked here; the halfedge dicts are
+        built on the first call that reads them."""
+        _check_raw(raw)
+        graph = object.__new__(_RawGraph)
+        graph._edges = _build_edges(len(raw[3]))
+        graph._raw = (raw, range(len(raw[0])), graph._edges)
+        graph._canon = None
+        return graph
 
     @classmethod
     def from_canonical_key(cls, key: bytes) -> "StableGraph":
@@ -599,20 +686,30 @@ class StableGraph:
         positions and halfedge ids follow the ``build`` numbering."""
         return cls.from_raw(raw_from_key(key))
 
+    def _raw_data(self) -> tuple:
+        """(raw, vid_order, halfedge pair per raw edge), computed from the
+        halfedge dicts on the first call if the graph did not keep it."""
+        if self._raw is None:
+            vids = tuple(sorted(self._genus))
+            idx = {v: i for i, v in enumerate(vids)}
+            genera = tuple(self._genus[v] for v in vids)
+            legs = tuple(sorted((lab, idx[self._hvertex[h]]) for lab, h in self._legs.items()))
+            branch = [0] * len(vids)
+            for h in self._branch:
+                branch[idx[self._hvertex[h]]] += 1
+            ends = []
+            for a, b in self._edges:
+                u, v = idx[self._hvertex[a]], idx[self._hvertex[b]]
+                ends.append(((u, v), (a, b)) if u <= v else ((v, u), (b, a)))
+            ends.sort()
+            raw = (genera, legs, tuple(branch), tuple(e for e, _ in ends))
+            self._raw = (raw, vids, tuple(pair for _, pair in ends))
+        return self._raw
+
     def to_raw(self):
         """Return (raw, vid_order) with vid_order[i] the vertex at raw index i."""
-        vids = sorted(self._genus)
-        idx = {v: i for i, v in enumerate(vids)}
-        genera = tuple(self._genus[v] for v in vids)
-        legs = tuple(sorted((lab, idx[self._hvertex[h]]) for lab, h in self._legs.items()))
-        branch = [0] * len(vids)
-        for h in self._branch:
-            branch[idx[self._hvertex[h]]] += 1
-        edges = []
-        for a, b in self._edges:
-            u, v = idx[self._hvertex[a]], idx[self._hvertex[b]]
-            edges.append((u, v) if u <= v else (v, u))
-        return (genera, legs, tuple(branch), tuple(sorted(edges))), vids
+        raw, vids, _ = self._raw_data()
+        return raw, vids
 
     # -- accessors ----------------------------------------------------------
 
@@ -675,9 +772,14 @@ class StableGraph:
         return sum(self._genus.values()) + len(self._edges) - len(self._genus) + 1
 
     def is_stable(self) -> bool:
-        return all(
-            2 * g - 2 + len(self._h_at[v]) > 0 for v, g in self._genus.items()
-        )
+        genera, legs, branch, edges = self._raw_data()[0]
+        valence = list(branch)
+        for _, v in legs:
+            valence[v] += 1
+        for u, v in edges:
+            valence[u] += 1
+            valence[v] += 1
+        return all(2 * g - 2 + d > 0 for g, d in zip(genera, valence))
 
     def _canon_result(self) -> CanonResult:
         if self._canon is None:
@@ -717,21 +819,19 @@ class StableGraph:
 
     def separating_edges(self) -> frozenset:
         """Non-loop edges whose deletion disconnects the graph."""
-        idx = {v: i for i, v in enumerate(sorted(self._genus))}
-        pairs = [
-            (idx[self._hvertex[a]], idx[self._hvertex[b]]) for a, b in self._edges
-        ]
-        idxs = bridge_edge_indices(len(idx), pairs)
-        return frozenset(self._edges[i] for i in idxs)
+        (genera, _, _, edges), _, halves = self._raw_data()
+        bridges = bridge_edge_indices(len(genera), edges)
+        return frozenset(tuple(sorted(halves[i])) for i in bridges)
 
     def induced_components(self, vertices) -> list:
         """Vertex sets of the connected components of the subgraph induced
         on ``vertices``, in the order ``set.pop`` on a set of them meets
         the components (``z_contract`` numbers its points in this order)."""
+        (_, _, _, edges), vids, _ = self._raw_data()
         vertices = frozenset(vertices)
         pairs = []
-        for a, b in self._edges:
-            u, w = self._hvertex[a], self._hvertex[b]
+        for u, w in edges:
+            u, w = vids[u], vids[w]
             if u in vertices and w in vertices:
                 pairs.append((u, w))
         comp_of = {v: c for c in map(set, connected_components(vertices, pairs)) for v in c}
@@ -827,3 +927,20 @@ class StableGraph:
             lines.append(f"  v{self._hvertex[h]} -- bp_{i};")
         lines.append("}")
         return "\n".join(lines)
+
+
+class _RawGraph(StableGraph):
+    """A graph built by ``StableGraph.from_raw``: it starts with only
+    ``_edges``, ``_raw`` and ``_canon`` set and fills the halfedge dicts
+    from the raw when one is first read.  ``__getattr__`` sits here and not
+    on ``StableGraph`` because CPython stops specializing attribute reads on
+    the instances of a class that defines it."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in _VIEWS:
+            raise AttributeError(name)
+        for view, value in zip(_VIEWS, _raw_views(self._raw[0])):
+            setattr(self, view, value)
+        return getattr(self, name)

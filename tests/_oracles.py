@@ -20,6 +20,34 @@ from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
 
 # ---------------------------------------------------------------------------
+# A raw graph through the validating constructor.
+# ---------------------------------------------------------------------------
+
+def build_numbered_graph(raw) -> StableGraph:
+    """The graph of a raw tuple, built through ``StableGraph.__init__`` with
+    the halfedges numbered as ``StableGraph.build`` numbers them: edge i
+    gets (2i, 2i + 1), 2i at its first end; then one halfedge per leg in
+    label order; then one stub per branch point, by vertex."""
+    genera, legs, branch, edges = raw
+    halfedges = []
+    pairs = []
+    for i, (u, v) in enumerate(edges):
+        halfedges += [(2 * i, u), (2 * i + 1, v)]
+        pairs.append((2 * i, 2 * i + 1))
+    h = 2 * len(edges)
+    leg_halfedges = []
+    for lab, v in sorted(legs):
+        halfedges.append((h, v))
+        leg_halfedges.append((lab, h))
+        h += 1
+    for v, count in enumerate(branch):
+        for _ in range(count):
+            halfedges.append((h, v))
+            h += 1
+    return StableGraph(list(enumerate(genera)), halfedges, pairs, leg_halfedges)
+
+
+# ---------------------------------------------------------------------------
 # Connectivity and separating edges, recomputed naively.
 # ---------------------------------------------------------------------------
 

@@ -124,6 +124,29 @@ class TestEnumerateCmd:
         assert load_or_enumerate(1, 2).keys == want
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["torelli-classes"],
+        ["torelli-classes", "--jobs", "2"],
+        ["verify-assignment"],
+        ["enumerate", "--out", "{tmp}/cat.json"],
+    ], ids=["torelli-classes", "torelli-classes-jobs-2", "verify-assignment",
+            "enumerate-out"])
+    def test_unreadable_cache_key_exit_one(self, capsys, tmp_path, monkeypatch, argv):
+        # the CRC matches, so the cache is read and the damaged key parsed
+        monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        load_or_enumerate(1, 2)
+        (path,) = (tmp_path / "c").iterdir()
+        data = json.loads(path.read_text())
+        data["keys"][0] = data["keys"][0].replace(";b=;", ";b=7:1;")
+        data["crc32"] = cli_module._keys_crc(data["keys"])
+        path.write_text(json.dumps(data))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, report, err = run(capsys, argv[0], "--genus", "1", "--markings", "2",
+                                *argv[1:])
+        assert code == 1 and report is None
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
 

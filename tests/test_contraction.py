@@ -245,6 +245,31 @@ class TestRelabelledOutputs:
         assert digest.hexdigest() == self.PINNED
 
 
+class TestCatalogContractionsPinned:
+    # sha256 over the key and the contraction record of the rule-F value of
+    # every graph of these types whose value is nonempty, each graph taken
+    # from its catalog: it pins the slot halfedge ids (the build numbering)
+    # and the point order of z_contract on catalog graphs; computed while
+    # catalog graphs were still built through their halfedge dicts
+    PINNED = "75bcfba661e8bab49f491fe839cd26dd8cd70fd825961f8cf5c6aa0095f0f47a"
+
+    def test_outputs_pinned(self, catalog):
+        digest = hashlib.sha256()
+        count = 0
+        for gn in [(2, 4), (3, 1)]:
+            cat = catalog(*gn)
+            for i in range(len(cat)):
+                g = cat.graph(i)
+                chosen = SEPARATING_BRIDGES.value(g)
+                if chosen:
+                    record = [cat.keys[i].decode(), contraction_record(g, chosen)]
+                    digest.update(json.dumps(record, sort_keys=True).encode())
+                    digest.update(b"\n")
+                    count += 1
+        assert count == 715
+        assert digest.hexdigest() == self.PINNED
+
+
 class TestFiberStrata:
     def test_single_3_point_unique(self):
         axis = z_contract(r_shape(), {0})

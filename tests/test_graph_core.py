@@ -4,15 +4,29 @@ import random
 
 import pytest
 
-from torelli_graphs import StableGraph, StructuralError, DomainError, torelli_key
+from torelli_graphs import (
+    SEPARATING_BRIDGES,
+    DomainError,
+    StableGraph,
+    StructuralError,
+    torelli_key,
+    z_contract,
+)
+from torelli_graphs import graph_core
 from torelli_graphs import torelli as torelli_module
 from torelli_graphs.enumeration import raw_contract
-from torelli_graphs.graph_core import canonicalize_raw, connected_components, raw_from_key
+from torelli_graphs.graph_core import (
+    MAX_GENUS,
+    canonicalize_raw,
+    connected_components,
+    raw_from_key,
+)
 
 from _oracles import (
     brute_force_halfedge_aut_order,
     brute_force_isomorphic,
     brute_force_vertex_automorphisms,
+    build_numbered_graph,
     naive_separating_edges,
 )
 
@@ -50,6 +64,109 @@ class TestConstruction:
         # "1" and "01" are one label once read as integers
         with pytest.raises(StructuralError, match="duplicate leg label"):
             StableGraph({0: 1}, [(0, 0), (1, 0)], [], {"1": 0, "01": 1})
+
+
+def graph_record(g) -> list:
+    """Everything a graph shows, raw-level operations first."""
+    chosen = SEPARATING_BRIDGES.value(g)
+    return [
+        g.canonical_key(),
+        g.canonical_labeling(),
+        g.automorphisms(),
+        g.separating_edges(),
+        g.is_stable(),
+        chosen,
+        g.induced_components(chosen),
+        g.vertices(),
+        g.halfedges(),
+        g.edges(),
+        g.legs,
+        [g.legs_at(v) for v in g.vertices()],
+        g.branch_points(),
+        g.genus(),
+        g.to_json_dict(),
+        g.to_dot(),
+    ]
+
+
+class TestKeptRaw:
+    """A graph built from a key or a raw keeps the raw and builds its
+    halfedge dicts on first use."""
+
+    @pytest.fixture
+    def view_builds(self, monkeypatch):
+        calls = []
+        raw_views = graph_core._raw_views
+
+        def counting(raw):
+            calls.append(raw)
+            return raw_views(raw)
+
+        monkeypatch.setattr(graph_core, "_raw_views", counting)
+        return calls
+
+    def test_catalog_graphs_match_validating_constructor(self, catalog):
+        count = 0
+        for gn in [(0, 6), (1, 4), (2, 3), (3, 1), (2, 4)]:
+            cat = catalog(*gn)
+            for i, key in enumerate(cat.keys):
+                want = build_numbered_graph(raw_from_key(key))
+                assert graph_record(cat.graph(i)) == graph_record(want), key
+                count += 1
+        assert count == 236 + 163 + 555 + 181 + 5608
+
+    def test_raw_operations_build_no_dicts(self, catalog, view_builds):
+        cat = catalog(2, 4)
+        contracted = 0
+        for i in range(len(cat)):
+            g = cat.graph(i)
+            chosen = SEPARATING_BRIDGES.value(g)
+            if chosen:
+                z_contract(g, chosen)
+                contracted += 1
+            g.canonical_key()
+            g.separating_edges()
+            g.is_stable()
+            g.to_raw()
+        assert contracted == 700
+        assert view_builds == []
+        g = cat.graph(0)
+        g.halfedges()
+        assert len(view_builds) == 1
+        g.halfedges()
+        g.vertices()
+        assert len(view_builds) == 1
+
+    @pytest.mark.parametrize("raw, match", [
+        (((1, 1), (), (0, 0), ((0, 2),)), "not a pair"),
+        (((1, 1), (), (0, 0), ((1, 0),)), "not a pair"),
+        (((1, 1), (), (0, 0), ()), "not connected"),
+        (((1, 0), (), (0, 0), ((0, 1), (1, 1), (0, 0))), "out of order"),
+        (((1,), ((1, 0), (1, 0)), (0,), ()), "duplicate leg label"),
+        (((1,), ((2, 0), (1, 0)), (0,), ()), "out of label order"),
+        (((1,), ((1, 1),), (0,), ()), "unknown vertex"),
+        (((MAX_GENUS + 1,), (), (0,), ()), "out of range"),
+        (((-1, 2), (), (0, 0), ((0, 1),)), "out of range"),
+        (((), (), (), ()), "at least one vertex"),
+    ], ids=["edge-end-out-of-range", "edge-ends-reversed", "disconnected",
+            "edges-unsorted", "duplicate-leg-label", "legs-unsorted",
+            "leg-on-unknown-vertex", "genus-too-large", "genus-negative", "empty"])
+    def test_from_raw_refusals(self, view_builds, raw, match):
+        with pytest.raises(StructuralError, match=match):
+            StableGraph.from_raw(raw)
+        assert view_builds == []
+
+    @pytest.mark.parametrize("key", [
+        b"TG1;k=3;g=0,0,0;l=;b=7:1;e=0-1,1-2",  # branch position past k
+        b"TG1;k=3;g=0,0;l=;b=;e=0-1",  # k disagrees with the genera
+        b"TG1;k=2;g=1,1;l=1;b=;e=0-1",  # a leg without its vertex
+        b"TG1;k=2;g=1,1;l=;b=;e=0+1",
+        b"TG1;k=2;g=1,1;l=;b=",
+        b"TG1;k=x",
+    ])
+    def test_unreadable_key_refused(self, key):
+        with pytest.raises(StructuralError):
+            StableGraph.from_canonical_key(key)
 
 
 class TestGenus:
