@@ -10,7 +10,6 @@ any use.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
@@ -261,39 +260,6 @@ SEPARATING_BRIDGES = ExtremalAssignment(
 )
 
 
-def _list_of(item: str) -> str:
-    return f"(?:{item}(?:,{item})*)?"
-
-
-# the untagged key grammar, digits only; raw_from_key trusts its input
-_KEY_RE = re.compile(
-    "TG1;k=(?P<k>{n});g=(?P<g>{g});l=(?P<l>{p});b=(?P<b>{p});e=(?P<e>{e})".format(
-        n=r"\d+",
-        g=_list_of(r"\d+"),
-        p=_list_of(r"\d+:\d+"),
-        e=_list_of(r"\d+-\d+"),
-    ),
-    re.ASCII,
-)
-
-
-def _table_key_raw(key_str: str):
-    """Parse an assignment-table key, rejecting what ``raw_from_key`` would
-    misread or fail on."""
-    m = _KEY_RE.fullmatch(key_str)
-    if m is None:
-        raise StructuralError(f"entry {key_str!r}: not a graph key")
-    k = int(m["k"])
-    n_genera = len(m["g"].split(",")) if m["g"] else 0
-    if n_genera != k:
-        raise StructuralError(f"entry {key_str}: k={k} but {n_genera} genera")
-    ends = re.findall(r":(\d+)", m["l"]) + re.findall(r"(\d+):", m["b"])
-    ends += re.findall(r"\d+", m["e"])
-    if any(int(v) >= k for v in ends):
-        raise StructuralError(f"entry {key_str}: vertex outside range({k})")
-    return raw_from_key(key_str.encode("ascii"))
-
-
 def load_assignment_table(data: dict, catalog: GraphCatalog) -> ExtremalAssignment:
     """Build an extensional assignment from parsed JSON, closing each entry
     under the automorphism orbits of its graph.  Malformed documents raise
@@ -308,7 +274,10 @@ def load_assignment_table(data: dict, catalog: GraphCatalog) -> ExtremalAssignme
         raise DomainError("assignment JSON needs an 'entries' object")
     table: dict = {}
     for key_str, positions in entries.items():
-        raw = _table_key_raw(key_str)
+        try:
+            raw = raw_from_key(key_str.encode("ascii"))
+        except (UnicodeEncodeError, StructuralError):
+            raise StructuralError(f"entry {key_str!r}: not a graph key") from None
         if not isinstance(positions, list) or not all(
             type(p) is int for p in positions
         ):

@@ -362,9 +362,12 @@ def _kernel_order(edges, branch) -> int:
 
 
 class _NumberText(dict):
-    """Memo of ``int`` on the short digit strings of keys."""
+    """Memo of ``int`` on the short digit strings of keys; text that is not
+    ASCII digits raises ValueError."""
 
     def __missing__(self, text):
+        if not (text.isdigit() and text.isascii()):
+            raise ValueError(f"not a number: {text!r}")
         value = int(text)
         if len(text) < 4:
             self[text] = value
@@ -372,42 +375,48 @@ class _NumberText(dict):
 
 
 _NUMBER = _NumberText()
+_FIELDS = ("TG1", "k=", "g=", "l=", "b=", "e=")
+
+
+@lru_cache(maxsize=64)
+def _position_text(k: int) -> dict:
+    """The positions below ``k``, keyed by their text."""
+    return {str(i): i for i in range(k)}
 
 
 def raw_from_key(key: bytes) -> Raw:
-    """Parse an untagged canonical key back into a raw graph.  A key it
-    cannot read, or whose vertex count disagrees with its genera, raises
-    StructuralError; vertex ends are not checked here (``from_raw`` does)."""
-    text = key.decode("ascii")
-    parts = text.split(";")
-    if parts[0] != "TG1":
-        raise StructuralError(f"not a graph key: {text[:40]!r}")
+    """Parse an untagged canonical key back into a raw graph; the one reader
+    of key text.  The grammar is ``TG1;k=K;g=G;l=L;b=B;e=E``, six fields in
+    this order: K genera in G, legs ``label:position`` in L, branch points
+    ``position:count`` in B and edges ``u-v`` in E, each list comma-joined
+    and every number ASCII digits.  A key that breaks it, or has a leg,
+    branch or edge position not below K, raises StructuralError; K is
+    checked against G before anything of size K is made.  ``from_raw``
+    checks the rest: genus range, order, connectivity."""
     num = _NUMBER.__getitem__
     try:
-        fields = dict([p.split("=", 1) for p in parts[1:]])
-        k = num(fields["k"])
-        genera = tuple(map(num, fields["g"].split(","))) if fields["g"] else ()
+        text = key.decode("ascii")
+        tg, kt, gt, lt, bt, et = text.split(";")
+        if (tg, kt[:2], gt[:2], lt[:2], bt[:2], et[:2]) != _FIELDS:
+            raise ValueError("fields out of order")
+        k = num(kt[2:])
+        genera = tuple(map(num, gt[2:].split(",")))
+        if len(genera) != k:
+            raise StructuralError(f"key has k={k} but {len(genera)} genera: {text[:40]!r}")
+        pos = _position_text(k).__getitem__
         legs = tuple(
-            [
-                (num(a), num(b))
-                for a, b in [item.split(":") for item in fields["l"].split(",") if item]
-            ]
-        )
+            [(num(a), pos(v)) for a, v in [item.split(":") for item in lt[2:].split(",")]]
+        ) if lt != "l=" else ()
         branch = [0] * k
-        for item in fields["b"].split(","):
-            if item:
-                p, c = item.split(":")
-                branch[num(p)] = num(c)
+        if bt != "b=":
+            for item in bt[2:].split(","):
+                v, c = item.split(":")
+                branch[pos(v)] = num(c)
         edges = tuple(
-            [
-                (num(u), num(v))
-                for u, v in [item.split("-") for item in fields["e"].split(",") if item]
-            ]
-        )
-    except (KeyError, ValueError, IndexError) as exc:
-        raise StructuralError(f"not a graph key: {text[:40]!r}") from exc
-    if len(genera) != k:
-        raise StructuralError(f"key has k={k} but {len(genera)} genera: {text[:40]!r}")
+            [(pos(u), pos(v)) for u, v in [item.split("-") for item in et[2:].split(",")]]
+        ) if et != "e=" else ()
+    except (ValueError, KeyError) as exc:
+        raise StructuralError(f"not a graph key: {key[:40]!r}") from exc
     return (genera, legs, tuple(branch), edges)
 
 
@@ -649,22 +658,16 @@ class StableGraph:
         ``edges``: (u, v) vertex pairs, repeats give parallel edges, u == v loops.
         ``legs``: mapping label -> vid.  ``branch_points``: vids, one stub each.
         """
-        vmap = dict(vertices)
-        hid = itertools.count()
-        hes = []
-        epairs = []
-        for u, v in edges:
-            a, b = next(hid), next(hid)
-            hes += [(a, u), (b, v)]
-            epairs.append((a, b))
-        legmap = {}
-        for lab in sorted(legs or {}):
-            h = next(hid)
-            hes.append((h, (legs or {})[lab]))
-            legmap[lab] = h
-        for v in branch_points:
-            hes.append((next(hid), v))
-        return cls(vmap, hes, epairs, legmap)
+        # halfedges in the order of _raw_views: edge ends, legs, branch stubs
+        ends = [w for u, v in edges for w in (u, v)]
+        n = len(ends)
+        labels = sorted(legs or {})
+        ends += [legs[lab] for lab in labels]
+        ends += branch_points
+        return cls(
+            dict(vertices), list(enumerate(ends)), _build_edges(n // 2),
+            {lab: h for h, lab in enumerate(labels, n)},
+        )
 
     @classmethod
     def from_raw(cls, raw: Raw) -> "StableGraph":

@@ -124,21 +124,38 @@ class TestEnumerateCmd:
         assert load_or_enumerate(1, 2).keys == want
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["torelli-classes"],
-        ["torelli-classes", "--jobs", "2"],
-        ["verify-assignment"],
-        ["enumerate", "--out", "{tmp}/cat.json"],
+    # (old, new) text of the damage to the first (1,2) key, a one-vertex one
+    KEY_DAMAGE = {
+        "branch-past-k": (";b=;", ";b=7:1;"),
+        "edge-past-k": (";e=0-0", ";e=0-9"),
+        "negative-branch": (";b=;", ";b=-1:1;"),
+        "huge-k": ("k=1;", "k=99999999999;"),
+    }
+
+    @pytest.mark.parametrize("argv, damage", [
+        (["torelli-classes"], "branch-past-k"),
+        (["torelli-classes", "--jobs", "2"], "branch-past-k"),
+        (["verify-assignment"], "branch-past-k"),
+        (["enumerate", "--out", "{tmp}/cat.json"], "branch-past-k"),
+    ] + [
+        ([cmd], damage) for damage in ["edge-past-k", "negative-branch", "huge-k"]
+        for cmd in ["torelli-classes", "verify-assignment"]
     ], ids=["torelli-classes", "torelli-classes-jobs-2", "verify-assignment",
-            "enumerate-out"])
-    def test_unreadable_cache_key_exit_one(self, capsys, tmp_path, monkeypatch, argv):
+            "enumerate-out"] + [
+        f"{cmd}-{damage}" for damage in ["edge-past-k", "negative-branch", "huge-k"]
+        for cmd in ["torelli-classes", "verify-assignment"]
+    ])
+    def test_unreadable_cache_key_exit_one(self, capsys, tmp_path, monkeypatch, argv,
+                                           damage):
         # the CRC matches, so the cache is read and the damaged key parsed
         monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         load_or_enumerate(1, 2)
         (path,) = (tmp_path / "c").iterdir()
         data = json.loads(path.read_text())
-        data["keys"][0] = data["keys"][0].replace(";b=;", ";b=7:1;")
+        old, new = self.KEY_DAMAGE[damage]
+        assert old in data["keys"][0]
+        data["keys"][0] = data["keys"][0].replace(old, new)
         data["crc32"] = cli_module._keys_crc(data["keys"])
         path.write_text(json.dumps(data))
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -198,8 +215,13 @@ class TestVerifyAssignmentCmd:
         ("TG1;k=1;g=0;l=1:0,2:0,3:0,4:0;b=;e=", [0.5]),
         # a top-level array instead of an object
         (None, None),
+        # a non-ASCII digit, fields out of order, a signed number
+        ("TG1;k=1;g=\u0660;l=1:0,2:0,3:0,4:0;b=;e=", []),
+        ("TG1;g=0;k=1;l=1:0,2:0,3:0,4:0;b=;e=", []),
+        ("TG1;k=+1;g=0;l=1:0,2:0,3:0,4:0;b=;e=", []),
     ], ids=["leg", "branch-point", "edge-endpoint", "k-vs-genera", "genus-text",
-            "negative-branch", "float-position", "array-document"])
+            "negative-branch", "float-position", "array-document", "non-ascii-digit",
+            "fields-out-of-order", "signed-number"])
     def test_malformed_table_exit_one(self, capsys, tmp_path, key, positions):
         # every catalog entry is covered, so only the malformed one can fail
         entries = {k.decode(): [] for k in load_or_enumerate(0, 4).keys}

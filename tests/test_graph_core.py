@@ -163,8 +163,18 @@ class TestKeptRaw:
         b"TG1;k=2;g=1,1;l=;b=;e=0+1",
         b"TG1;k=2;g=1,1;l=;b=",
         b"TG1;k=x",
+        b"TG1;k=2;g=1,1;l=;b=-1:1;e=0-1",  # a negative position
+        b"TG1;k=2;g=1,1;l=;b=;e=0-+1",
+        b"TG1;k=2;g=1,1_0;l=;b=;e=0-1",
+        b"TG1;g=1,1;k=2;l=;b=;e=0-1",  # fields out of order
+        b"TG1;k=2;g=1,1;l=;b=;e=0-1;t=0:0",
+        b"TG1;k=2;g=1,1;l=;b=;e=0-1,",  # an empty list item
+        "TG1;k=2;g=1,\u0661;l=;b=;e=0-1".encode(),  # a non-ASCII digit
+        b"TG1;k=99999999999;g=0;l=;b=;e=",  # refused before [0] * k
     ])
     def test_unreadable_key_refused(self, key):
+        with pytest.raises(StructuralError):
+            raw_from_key(key)
         with pytest.raises(StructuralError):
             StableGraph.from_canonical_key(key)
 
@@ -490,3 +500,23 @@ class TestSerialization:
         assert "v0:g2" in dot and "v1:g0" in dot
         assert 'label="1"' in dot
         assert "bp_0" in dot
+
+    # sha256 over repr(raw_from_key(key)) lines of every key of the sweep
+    # types and (2,4), catalogs in this order and keys sorted; taken with the
+    # reader that preceded the strict one
+    RAWS_PINNED = "adf827eb7c263ecd60f0a89b6fb7af5a5f89302aa32aed9240a423c5fa2a8daf"
+
+    @pytest.mark.slow
+    def test_key_round_trip_pinned(self, catalog):
+        from test_acceptance import SWEEP_6
+
+        digest = hashlib.sha256()
+        count = 0
+        for gn in SWEEP_6 + [(2, 4)]:
+            for key in sorted(catalog(*gn).keys):
+                raw = raw_from_key(key)
+                assert graph_core._serialize(range(len(raw[0])), raw, None) == key
+                digest.update(repr(raw).encode() + b"\n")
+                count += 1
+        assert count == 729671
+        assert digest.hexdigest() == self.RAWS_PINNED
