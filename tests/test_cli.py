@@ -133,16 +133,15 @@ class TestEnumerateCmd:
     }
 
     @pytest.mark.parametrize("argv, damage", [
-        (["torelli-classes"], "branch-past-k"),
-        (["torelli-classes", "--jobs", "2"], "branch-past-k"),
-        (["verify-assignment"], "branch-past-k"),
-        (["enumerate", "--out", "{tmp}/cat.json"], "branch-past-k"),
+        pytest.param(["torelli-classes"], "branch-past-k", id="torelli-classes"),
+        pytest.param(["torelli-classes", "--jobs", "2"], "branch-past-k",
+                     id="torelli-classes-jobs-2"),
+        pytest.param(["verify-assignment"], "branch-past-k", id="verify-assignment"),
+        pytest.param(["enumerate", "--out", "{tmp}/cat.json"], "branch-past-k",
+                     id="enumerate-out"),
     ] + [
-        ([cmd], damage) for damage in ["edge-past-k", "negative-branch", "huge-k"]
-        for cmd in ["torelli-classes", "verify-assignment"]
-    ], ids=["torelli-classes", "torelli-classes-jobs-2", "verify-assignment",
-            "enumerate-out"] + [
-        f"{cmd}-{damage}" for damage in ["edge-past-k", "negative-branch", "huge-k"]
+        pytest.param([cmd], damage, id=f"{cmd}-{damage}")
+        for damage in ["edge-past-k", "negative-branch", "huge-k"]
         for cmd in ["torelli-classes", "verify-assignment"]
     ])
     def test_unreadable_cache_key_exit_one(self, capsys, tmp_path, monkeypatch, argv,
