@@ -363,10 +363,10 @@ def _kernel_order(edges, branch) -> int:
 
 class _NumberText(dict):
     """Memo of ``int`` on the short digit strings of keys; text that is not
-    ASCII digits raises ValueError."""
+    ASCII digits, or has a leading zero, raises ValueError."""
 
     def __missing__(self, text):
-        if not (text.isdigit() and text.isascii()):
+        if not (text.isdigit() and text.isascii()) or (text[0] == "0" and len(text) > 1):
             raise ValueError(f"not a number: {text!r}")
         value = int(text)
         if len(text) < 4:
@@ -389,10 +389,11 @@ def raw_from_key(key: bytes) -> Raw:
     of key text.  The grammar is ``TG1;k=K;g=G;l=L;b=B;e=E``, six fields in
     this order: K genera in G, legs ``label:position`` in L, branch points
     ``position:count`` in B and edges ``u-v`` in E, each list comma-joined
-    and every number ASCII digits.  A key that breaks it, or has a leg,
+    and every number ASCII digits without a leading zero, each list in the
+    order ``_serialize`` writes it.  A key that breaks it, or has a leg,
     branch or edge position not below K, raises StructuralError; K is
     checked against G before anything of size K is made.  ``from_raw``
-    checks the rest: genus range, order, connectivity."""
+    checks the rest: genus range, distinct labels, connectivity."""
     num = _NUMBER.__getitem__
     try:
         text = key.decode("ascii")
@@ -407,14 +408,19 @@ def raw_from_key(key: bytes) -> Raw:
         legs = tuple(
             [(num(a), pos(v)) for a, v in [item.split(":") for item in lt[2:].split(",")]]
         ) if lt != "l=" else ()
+        items = [
+            (pos(v), num(c)) for v, c in [item.split(":") for item in bt[2:].split(",")]
+        ] if bt != "b=" else []
         branch = [0] * k
-        if bt != "b=":
-            for item in bt[2:].split(","):
-                v, c = item.split(":")
-                branch[pos(v)] = num(c)
+        for v, c in items:
+            branch[v] = c
         edges = tuple(
             [(pos(u), pos(v)) for u, v in [item.split("-") for item in et[2:].split(",")]]
         ) if et != "e=" else ()
+        if (sorted(legs) != list(legs) or sorted(edges) != list(edges)
+                or [e for e in edges if e[0] > e[1]]
+                or items and items != [(v, c) for v, c in enumerate(branch) if c]):
+            raise ValueError("not in the order _serialize writes")
     except (ValueError, KeyError) as exc:
         raise StructuralError(f"not a graph key: {key[:40]!r}") from exc
     return (genera, legs, tuple(branch), edges)
@@ -482,6 +488,16 @@ def _raw_views(raw: Raw) -> tuple:
         {v: tuple(hs) for v, hs in h_at.items()},
         frozenset(range(n + len(legs), len(ends))),
     )
+
+
+def _index_form(genus: dict, hvertex: dict, edges) -> tuple:
+    """(vertex ids, genera, ends, halves) of vertex -> genus, halfedge ->
+    vertex and edge pairs: vertex i is the i-th smallest id, and edge i
+    joins the vertex indices ``ends[i]`` by the halfedges ``halves[i]``."""
+    vids = sorted(genus)
+    index = {v: i for i, v in enumerate(vids)}
+    ends = [(index[hvertex[a]], index[hvertex[b]]) for a, b in edges]
+    return vids, [genus[v] for v in vids], ends, edges
 
 
 # ---------------------------------------------------------------------------
@@ -693,21 +709,25 @@ class StableGraph:
         """(raw, vid_order, halfedge pair per raw edge), computed from the
         halfedge dicts on the first call if the graph did not keep it."""
         if self._raw is None:
-            vids = tuple(sorted(self._genus))
+            vids, genera, ends, halves = _index_form(self._genus, self._hvertex, self._edges)
             idx = {v: i for i, v in enumerate(vids)}
-            genera = tuple(self._genus[v] for v in vids)
             legs = tuple(sorted((lab, idx[self._hvertex[h]]) for lab, h in self._legs.items()))
             branch = [0] * len(vids)
             for h in self._branch:
                 branch[idx[self._hvertex[h]]] += 1
-            ends = []
-            for a, b in self._edges:
-                u, v = idx[self._hvertex[a]], idx[self._hvertex[b]]
-                ends.append(((u, v), (a, b)) if u <= v else ((v, u), (b, a)))
-            ends.sort()
-            raw = (genera, legs, tuple(branch), tuple(e for e, _ in ends))
-            self._raw = (raw, vids, tuple(pair for _, pair in ends))
+            pairs = sorted(((u, v), (a, b)) if u <= v else ((v, u), (b, a))
+                           for (u, v), (a, b) in zip(ends, halves))
+            raw = (tuple(genera), legs, tuple(branch), tuple(e for e, _ in pairs))
+            self._raw = (raw, tuple(vids), tuple(pair for _, pair in pairs))
         return self._raw
+
+    def _indexed(self) -> tuple:
+        """The ``_index_form`` of the graph, read from the raw if it has
+        one, else from the dicts without storing a raw."""
+        if self._raw is not None:
+            (genera, _, _, ends), vids, halves = self._raw
+            return vids, genera, ends, halves
+        return _index_form(self._genus, self._hvertex, self._edges)
 
     def to_raw(self):
         """Return (raw, vid_order) with vid_order[i] the vertex at raw index i."""

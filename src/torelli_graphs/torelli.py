@@ -7,20 +7,30 @@ C1-sets and a per-piece moduli-positivity flag, determines the class of the
 polarized degenerate Jacobian; two graphs land in one class exactly when
 these data match under a genus-preserving bijection of normalized vertices
 (C1-equivalence).
+
+The steps work on one index form of a graph, (vertex ids, genera, ends,
+halves): its vertices are 0..k-1 in ascending id order, with ``genera[i]``
+the genus of vertex i; edge i joins the vertices ``ends[i]`` and has the
+halfedge pair ``halves[i]``, the one at ``ends[i][0]`` first.  Inside the
+steps, halfedge 2i + s of a piece is ``halves[i][s]`` of its host.  A graph
+that keeps its raw gives the form straight from it
+(``StableGraph._indexed``), and only ``pst`` and ``stabilize_component``
+map the result back to ids.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .graph_core import (
     DomainError,
     StableGraph,
+    _index_form,
     bridge_edge_indices,
     canonicalize_raw,
+    connected_components,
 )
 from .contraction import (
     AxisGraph,
@@ -35,25 +45,29 @@ from .contraction import (
 # Stabilization and polystable reduction.
 # ---------------------------------------------------------------------------
 
-def _stabilized(genus: dict, hvertex: dict, mate: dict) -> tuple:
-    """Contract rational tails and bridges of a connected legless graph,
-    given as vertex -> genus, halfedge -> vertex and the halfedge pairing;
-    the three dicts are updated in place and returned.
-
-    The smallest contractible vertex goes first.  A genus-zero vertex of
-    valence one merges into its neighbour; valence two fuses the two
-    incident edges (a double edge to one neighbour leaves a loop).  An
-    isolated genus-zero vertex with a single loop, or a single bare
-    genus-zero vertex, is final.  Surviving vertices and halfedges keep
-    their ids.
+def _stabilized(genera, ends, verts, edges) -> tuple:
+    """``stabilize_component`` of the connected legless graph made of the
+    vertices ``verts`` (ascending) and the edges ``edges`` of an index
+    form, smallest contractible vertex first; a single bare genus-zero
+    vertex is final too.  Returns the result, checked by the piece rules,
+    in index form: its vertices as indices of the input, and for each edge
+    its halfedge pair as input halfedges 2i + s.
     """
-    h_at = {v: set() for v in genus}
-    for h, v in hvertex.items():
-        h_at[v].add(h)
+    if len(verts) == 1:  # nothing to contract, and the piece rules hold
+        loops = [(2 * i, 2 * i + 1) for i in edges]
+        return list(verts), [genera[verts[0]]], [(0, 0)] * len(loops), loops
+    h_at = {v: set() for v in verts}
+    mate = {}
+    for i in edges:
+        u, w = ends[i]
+        h_at[u].add(2 * i)
+        h_at[w].add(2 * i + 1)
+        mate[2 * i] = 2 * i + 1
+        mate[2 * i + 1] = 2 * i
     # a vertex only becomes contractible when a neighbouring leaf goes, and
-    # is pushed then, so the heap always holds every contractible vertex
-    heap = [v for v, g in genus.items() if not g and len(h_at[v]) <= 2]
-    heapq.heapify(heap)
+    # is pushed then, so the heap always holds every contractible vertex;
+    # verts ascend, so the list is a heap already
+    heap = [v for v in verts if not genera[v] and len(h_at[v]) <= 2]
     while heap:
         v = heapq.heappop(heap)
         hs = h_at.get(v)
@@ -70,35 +84,30 @@ def _stabilized(genus: dict, hvertex: dict, mate: dict) -> tuple:
         else:
             (h,) = hs
             m = mate[h]
-            u = hvertex[m]
+            u = ends[m >> 1][m & 1]
             h_at[u].discard(m)
-            if not genus[u] and len(h_at[u]) <= 2:
+            if not genera[u] and len(h_at[u]) <= 2:
                 heapq.heappush(heap, u)
             dead = (h, m)
         for x in dead:
-            del hvertex[x]
             del mate[x]
-        del genus[v]
         del h_at[v]
-    return genus, hvertex, mate
+    index = {v: j for j, v in enumerate(h_at)}
+    pairs = [(h, m) for h, m in mate.items() if h < m]
+    p_genera = [genera[v] for v in h_at]
+    p_ends = [(index[ends[h >> 1][h & 1]], index[ends[m >> 1][m & 1]]) for h, m in pairs]
+    _check_piece(p_genera, p_ends)
+    return list(h_at), p_genera, p_ends, pairs
 
 
-def _graph_of(genus: dict, hvertex: dict, mate: dict) -> StableGraph:
-    return StableGraph(genus, hvertex, [(h, m) for h, m in mate.items() if h < m], {})
-
-
-def _as_dicts(graph: StableGraph) -> tuple:
-    """A graph as vertex -> genus, halfedge -> vertex and the halfedge
-    pairing: the data the dict-based steps below work on."""
-    mate = {}
-    for a, b in graph.edges():
-        mate[a] = b
-        mate[b] = a
-    return (
-        {v: graph.vertex_genus(v) for v in graph.vertices()},
-        {h: graph.vertex_of(h) for h in graph.halfedges()},
-        mate,
-    )
+def _graph_of(vids, halves, piece) -> StableGraph:
+    """A piece of ``_stabilized`` as a legless graph with the ids of its
+    host, whose vertex ids are ``vids`` and halfedge pairs ``halves``."""
+    verts, genera, ends, pairs = piece
+    hs = [halves[h >> 1][h & 1] for pair in pairs for h in pair]
+    hvertex = zip(hs, [vids[verts[v]] for e in ends for v in e])
+    genus = {vids[v]: g for v, g in zip(verts, genera)}
+    return StableGraph(genus, hvertex, zip(hs[::2], hs[1::2]), {})
 
 
 def stabilize_component(graph: StableGraph) -> StableGraph:
@@ -110,9 +119,12 @@ def stabilize_component(graph: StableGraph) -> StableGraph:
     Surviving vertices keep their ids.  The result class is independent of
     the contraction order.
     """
-    if graph.legs or graph.branch_points():
+    (_, legs, branch, _), _ = graph.to_raw()
+    if legs or any(branch):
         raise DomainError("stabilization input must carry no legs or branch points")
-    return _graph_of(*_stabilized(*_as_dicts(graph)))
+    vids, genera, ends, halves = graph._indexed()
+    piece = _stabilized(genera, ends, range(len(genera)), range(len(ends)))
+    return _graph_of(vids, halves, piece)
 
 
 def stabilize(components) -> "PolystableGraph":
@@ -120,17 +132,23 @@ def stabilize(components) -> "PolystableGraph":
     return PolystableGraph(tuple(stabilize_component(c) for c in components))
 
 
-def _check_piece(genus: dict, hvertex: dict, n_edges: int) -> None:
-    """The rules for one polystable piece, given as vertex -> genus and
-    halfedge -> vertex of a legless graph with ``n_edges`` edges: stable
-    of genus >= 2, an irreducible genus-one vertex, or a bare genus-zero
-    vertex."""
-    g = sum(genus.values()) + n_edges - len(genus) + 1
+def _valences(genera, ends) -> list:
+    valence = [0] * len(genera)
+    for u, w in ends:
+        valence[u] += 1
+        valence[w] += 1
+    return valence
+
+
+def _check_piece(genera, ends) -> None:
+    """The rules for one polystable piece, given as the genera and edge
+    ends of a legless graph: stable of genus >= 2, an irreducible
+    genus-one vertex, or a bare genus-zero vertex."""
+    g = sum(genera) + len(ends) - len(genera) + 1
     if g >= 2:
-        valence = Counter(hvertex.values())
-        if any(2 * gv - 2 + valence[v] <= 0 for v, gv in genus.items()):
+        if any(2 * gv - 2 + d <= 0 for gv, d in zip(genera, _valences(genera, ends))):
             raise DomainError("genus >= 2 piece must be stable")
-    elif len(genus) != 1:
+    elif len(genera) != 1:
         raise DomainError(
             "genus-one piece must be irreducible" if g == 1
             else "genus-zero piece must be a bare vertex"
@@ -149,10 +167,10 @@ class PolystableGraph:
         if any(c.separating_edges() for c in comps):
             raise DomainError("polystable pieces have no separating edges")
         for c in comps:
-            if c.legs or c.branch_points():
+            (genera, legs, branch, ends), _ = c.to_raw()
+            if legs or any(branch):
                 raise DomainError("polystable pieces carry no legs or branch points")
-            genus, hvertex, _ = _as_dicts(c)
-            _check_piece(genus, hvertex, len(c.edges()))
+            _check_piece(genera, ends)
         self.components = comps
 
     @classmethod
@@ -179,59 +197,38 @@ class PolystableGraph:
         return f"PolystableGraph({[c.genus() for c in self.components]})"
 
 
-def _pst_pieces(genus: dict, hvertex: dict, edges) -> list:
-    """The pieces of ``pst`` on raw data: vertex -> genus, halfedge -> vertex
-    and the edge pairs (other halfedges, legs among them, are ignored).
+def _pst_pieces(genera, ends) -> list:
+    """The pieces of ``pst`` of a graph in index form, given by its genera
+    and edge ends (legs and branch points play no part).
 
-    Returns the stabilized pieces of positive genus as (vertex -> genus,
-    halfedge -> vertex, halfedge pairing), each checked by the piece rules,
-    in the order of their smallest vertex id.  The inputs are not changed.
+    Returns the stabilized pieces of positive genus, in the order of their
+    smallest vertex, each as ``_stabilized`` returns it: checked, and in
+    index form with its vertices as indices of the input and its halfedge
+    pairs as input halfedges 2i + s.  The inputs are not changed.
     """
-    vids = sorted(genus)
-    index = {v: i for i, v in enumerate(vids)}
-    ends = [(index[hvertex[a]], index[hvertex[b]]) for a, b in edges]
-    bridges = bridge_edge_indices(len(vids), ends)
+    k = len(genera)
+    bridges = bridge_edge_indices(k, ends)
     kept = [i for i in range(len(ends)) if i not in bridges]
-    # its own search on index lists, not connected_components: this is the
-    # inner loop of the fiber check, which the dict-based one slows by ~8%
-    adj = [[] for _ in vids]
+    comps = connected_components(range(k), [ends[i] for i in kept])
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    comp_edges = [[] for _ in comps]
     for i in kept:
-        u, w = ends[i]
-        adj[u].append(w)
-        adj[w].append(u)
-    comp_of = [-1] * len(vids)
-    pieces = []  # (genus, hvertex, mate) per component
-    for start in range(len(vids)):
-        if comp_of[start] < 0:
-            comp_of[start] = len(pieces)
-            comp = [start]
-            for v in comp:
-                for u in adj[v]:
-                    if comp_of[u] < 0:
-                        comp_of[u] = len(pieces)
-                        comp.append(u)
-            pieces.append(({vids[v]: genus[vids[v]] for v in comp}, {}, {}))
-    for i in kept:
-        (a, b), (u, w) = edges[i], ends[i]
-        _, p_hvertex, mate = pieces[comp_of[u]]
-        p_hvertex[a], p_hvertex[b] = vids[u], vids[w]
-        mate[a], mate[b] = b, a
-    out = []
-    for p_genus, p_hvertex, mate in pieces:
-        if sum(p_genus.values()) + len(mate) // 2 - len(p_genus) + 1 > 0:
-            piece = _stabilized(p_genus, p_hvertex, mate)
-            _check_piece(piece[0], piece[1], len(mate) // 2)
-            out.append(piece)
-    return out
+        comp_edges[comp_of[ends[i][0]]].append(i)
+    return [
+        _stabilized(genera, ends, sorted(comp), edges)
+        for comp, edges in zip(comps, comp_edges)
+        if sum(genera[v] for v in comp) + len(edges) - len(comp) + 1 > 0
+    ]
 
 
 def pst(graph: StableGraph) -> PolystableGraph:
     """Forget markings, normalize at all separating edges, stabilize, and
     drop the genus-zero pieces.  Vertex and halfedge ids of survivors are
     preserved; pieces come in the order of their smallest vertex id."""
-    genus, hvertex, _ = _as_dicts(graph)
-    pieces = _pst_pieces(genus, hvertex, graph.edges())
-    return PolystableGraph._from_checked(tuple(_graph_of(*p) for p in pieces))
+    vids, genera, ends, halves = graph._indexed()
+    return PolystableGraph._from_checked(
+        tuple(_graph_of(vids, halves, p) for p in _pst_pieces(genera, ends))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,35 +286,27 @@ def _cycle_labels(k: int, ends) -> list:
     return labels
 
 
-def _label_blocks(labels) -> list:
-    """Edge indices grouped by cycle-space label: the C1 blocks of a
-    bridgeless graph, as lists of edge indices."""
+def _c1_blocks(genera, ends, halves) -> list:
+    """The C1 blocks of a connected bridgeless graph in index form, as lists
+    of edge indices: the edges grouped by cycle-space label.  A separating
+    edge raises DomainError."""
+    labels = _cycle_labels(len(genera), ends)
+    if not all(labels):
+        bridge = min(tuple(sorted(h)) for h, lab in zip(halves, labels) if not lab)
+        raise DomainError(
+            f"graph has separating edge {bridge}; C1-sets are undefined"
+        )
     blocks: dict = {}
     for i, lab in enumerate(labels):
         blocks.setdefault(lab, []).append(i)
     return list(blocks.values())
 
 
-def _c1_blocks(graph: StableGraph) -> tuple:
-    """(vertex ids in order, each edge of ``graph.edges()`` as a pair of
-    vertex indices, C1 blocks as lists of edge indices)."""
-    vids = graph.vertices()
-    index = {v: i for i, v in enumerate(vids)}
-    ends = [(index[graph.vertex_of(a)], index[graph.vertex_of(b)]) for a, b in graph.edges()]
-    labels = _cycle_labels(len(vids), ends)
-    if not all(labels):
-        bridge = min(e for e, lab in zip(graph.edges(), labels) if not lab)
-        raise DomainError(
-            f"graph has separating edge {bridge}; C1-sets are undefined"
-        )
-    return vids, ends, _label_blocks(labels)
-
-
 def c1_sets(graph: StableGraph) -> C1Partition:
     """Compute the C1 partition of a connected bridgeless graph."""
-    edges = graph.edges()
-    _, _, blocks = _c1_blocks(graph)
-    sets = [frozenset(edges[i] for i in block) for block in blocks]
+    _, genera, ends, halves = graph._indexed()
+    edges = [tuple(sorted(h)) for h in halves]
+    sets = [frozenset(edges[i] for i in block) for block in _c1_blocks(genera, ends, halves)]
     sets.sort(key=sorted)
     return C1Partition(graph, tuple(sets))
 
@@ -344,63 +333,49 @@ def component_class_key(piece: StableGraph) -> bytes:
     """Canonical key of one piece's C1 incidence structure: vertices coloured
     by genus against blocks, with the block's halfedge count at each vertex
     as edge multiplicity."""
-    vids, ends, blocks = _c1_blocks(piece)
-    return _incidence_key([piece.vertex_genus(v) for v in vids], ends, blocks)
+    _, genera, ends, halves = piece._indexed()
+    return _incidence_key(genera, ends, _c1_blocks(genera, ends, halves))
 
 
-def _moduli_positive(genera, ends) -> bool:
-    """Some vertex of a legless piece has 3g - 3 + valence > 0."""
-    valence = [0] * len(genera)
-    for u, w in ends:
-        valence[u] += 1
-        valence[w] += 1
-    return any(3 * g - 3 + d > 0 for g, d in zip(genera, valence))
-
-
-def _piece_part(genera, ends) -> bytes:
-    """One bridgeless piece's share of the class key: its C1 incidence key
-    and its moduli flag."""
-    blocks = _label_blocks(_cycle_labels(len(genera), ends))
-    flag = b"|m1" if _moduli_positive(genera, ends) else b"|m0"
-    return _incidence_key(genera, ends, blocks) + flag
+def _piece_part(genera, ends, halves) -> bytes:
+    """One bridgeless piece's share of the class key, from its index form:
+    its C1 incidence key and its moduli flag (some vertex has
+    3g - 3 + valence > 0)."""
+    blocks = _c1_blocks(genera, ends, halves)
+    positive = any(3 * g - 3 + d > 0 for g, d in zip(genera, _valences(genera, ends)))
+    return _incidence_key(genera, ends, blocks) + (b"|m1" if positive else b"|m0")
 
 
 @lru_cache(maxsize=None)
 def _one_vertex_part(genus: int, loops: int) -> bytes:
     """``_piece_part`` of one vertex with loops: each loop is its own C1
     block, so the part depends on the genus and the loop count alone."""
-    return _piece_part((genus,), [(0, 0)] * loops)
+    return _piece_part((genus,), [(0, 0)] * loops, [(0, 1)] * loops)
 
 
 def _pieces_key(pieces) -> bytes:
-    """Class key of polystable pieces, each given as vertex -> genus,
-    halfedge -> vertex and the halfedge pairing, as ``_pst_pieces``
+    """Class key of polystable pieces in index form, as ``_pst_pieces``
     returns them."""
-    parts = []
-    for p_genus, p_hvertex, mate in pieces:
-        if len(p_genus) == 1:
-            (g,) = p_genus.values()
-            parts.append(_one_vertex_part(g, len(mate) // 2))
-            continue
-        vids = sorted(p_genus)
-        index = {v: i for i, v in enumerate(vids)}
-        ends = [(index[p_hvertex[a]], index[p_hvertex[b]]) for a, b in mate.items() if a < b]
-        parts.append(_piece_part(tuple(p_genus[v] for v in vids), ends))
+    parts = [
+        _one_vertex_part(genera[0], len(ends)) if len(genera) == 1
+        else _piece_part(genera, ends, halves)
+        for _, genera, ends, halves in pieces
+    ]
     return b"TK1;" + b"||".join(sorted(parts))
 
 
 def polystable_key(poly: PolystableGraph) -> bytes:
     """Class key: equal exactly for C1-equivalent unions with equal flags."""
-    return _pieces_key(_as_dicts(piece) for piece in poly.components)
+    return _pieces_key(piece._indexed() for piece in poly.components)
 
 
 def torelli_key(graph: StableGraph) -> bytes:
     """Class key of a stable graph of positive genus: the key of its
     ``pst`` pieces, computed without building them as graphs."""
-    if graph.genus() < 1:
+    _, genera, ends, _ = graph._indexed()
+    if sum(genera) + len(ends) - len(genera) + 1 < 1:
         raise DomainError("genus-zero graphs have no class key")
-    genus, hvertex, _ = _as_dicts(graph)
-    return _pieces_key(_pst_pieces(genus, hvertex, graph.edges()))
+    return _pieces_key(_pst_pieces(genera, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +406,8 @@ def _stratum_key(stratum) -> bytes:
     """Class key of one raw stratum, given as the data
     ``contraction._raw_strata`` yields."""
     genus, hvertex, edges, _legs = stratum
-    return _pieces_key(_pst_pieces(genus, hvertex, edges))
+    _, genera, ends, _ = _index_form(genus, hvertex, edges)
+    return _pieces_key(_pst_pieces(genera, ends))
 
 
 def _fiber_keys(axis: AxisGraph):

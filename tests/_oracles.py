@@ -14,7 +14,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from torelli_graphs import Degeneration, DomainError, StableGraph, c1_sets
+from torelli_graphs import Degeneration, DomainError, StableGraph
 from torelli_graphs.enumeration import check_type, iter_degenerations, raw_contract
 from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
 
@@ -524,6 +524,18 @@ def _block_degrees(graph, block) -> dict:
     return dict(deg)
 
 
+def c1_blocks_by_deletion(graph: StableGraph) -> list:
+    """The C1 blocks of a connected bridgeless graph, from the definition:
+    deleting an edge makes exactly the other edges of its block
+    separating."""
+    blocks = []
+    for e in graph.edges():
+        if not any(e in block for block in blocks):
+            rest = graph.delete_edges([e])
+            blocks.append(frozenset({e}).union(*map(naive_separating_edges, rest)))
+    return blocks
+
+
 def _c1_flat_data(poly):
     """Flatten to indexed vertices and blocks.
 
@@ -540,7 +552,7 @@ def _c1_flat_data(poly):
             verts.append((ci, v, c.vertex_genus(v), c.valence(v)))
     blocks = []
     for ci, c in enumerate(poly.components):
-        for block in c1_sets(c).blocks:
+        for block in c1_blocks_by_deletion(c):
             deg = _block_degrees(c, block)
             blocks.append(
                 (len(block), {vindex[(ci, v)]: d for v, d in deg.items()})

@@ -124,12 +124,21 @@ class TestEnumerateCmd:
         assert load_or_enumerate(1, 2).keys == want
         assert len(calls) == 1
 
-    # (old, new) text of the damage to the first (1,2) key, a one-vertex one
+    # (old, new) text of the damage to the first (1,2) key that holds the
+    # old text (the first four damage the first key, a one-vertex one), and
+    # the text the error names the damaged key by
     KEY_DAMAGE = {
-        "branch-past-k": (";b=;", ";b=7:1;"),
-        "edge-past-k": (";e=0-0", ";e=0-9"),
-        "negative-branch": (";b=;", ";b=-1:1;"),
-        "huge-k": ("k=1;", "k=99999999999;"),
+        "branch-past-k": (";b=;", ";b=7:1;", "not a graph key"),
+        "edge-past-k": (";e=0-0", ";e=0-9", "not a graph key"),
+        "negative-branch": (";b=;", ";b=-1:1;", "not a graph key"),
+        "huge-k": ("k=1;", "k=99999999999;", ""),
+        "leading-zero": ("g=0;", "g=00;", "not a graph key"),
+        "zero-branch": (";b=;", ";b=0:0;", "not a graph key"),
+        "repeated-branch": (";b=;", ";b=0:1,0:1;", "not a graph key"),
+        "unsorted-branch": ("l=1:0,2:1;b=;", "l=1:0,2:1;b=1:1,0:1;", "not a graph key"),
+        "unsorted-legs": ("l=1:0,2:0;b=;e=0-0", "l=2:0,1:0;b=;e=0-0", "not a graph key"),
+        "unsorted-edges": ("e=0-0,0-1", "e=0-1,0-0", "not a graph key"),
+        "reversed-edge": ("e=0-1,0-1", "e=1-0,0-1", "not a graph key"),
     }
 
     @pytest.mark.parametrize("argv, damage", [
@@ -141,7 +150,9 @@ class TestEnumerateCmd:
                      id="enumerate-out"),
     ] + [
         pytest.param([cmd], damage, id=f"{cmd}-{damage}")
-        for damage in ["edge-past-k", "negative-branch", "huge-k"]
+        for damage in ["edge-past-k", "negative-branch", "huge-k", "leading-zero",
+                       "zero-branch", "repeated-branch", "unsorted-branch",
+                       "unsorted-legs", "unsorted-edges", "reversed-edge"]
         for cmd in ["torelli-classes", "verify-assignment"]
     ])
     def test_unreadable_cache_key_exit_one(self, capsys, tmp_path, monkeypatch, argv,
@@ -152,9 +163,9 @@ class TestEnumerateCmd:
         load_or_enumerate(1, 2)
         (path,) = (tmp_path / "c").iterdir()
         data = json.loads(path.read_text())
-        old, new = self.KEY_DAMAGE[damage]
-        assert old in data["keys"][0]
-        data["keys"][0] = data["keys"][0].replace(old, new)
+        old, new, named = self.KEY_DAMAGE[damage]
+        i = next(i for i, key in enumerate(data["keys"]) if old in key)
+        data["keys"][i] = data["keys"][i].replace(old, new)
         data["crc32"] = cli_module._keys_crc(data["keys"])
         path.write_text(json.dumps(data))
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -162,6 +173,7 @@ class TestEnumerateCmd:
                                 *argv[1:])
         assert code == 1 and report is None
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert named in err
 
     def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TORELLI_GRAPHS_CACHE", str(tmp_path / "c"))

@@ -4,7 +4,8 @@ Catalog keys are mutated (a character inserted, deleted or replaced, a
 field dropped, repeated or swapped with another) and fed to
 ``raw_from_key``, the reader behind cache files, assignment tables and
 ``StableGraph.from_canonical_key``.  Every run must either raise
-StructuralError or return a raw whose every position lies in ``range(k)``.
+StructuralError or return a raw whose every position lies in ``range(k)``
+and which ``_serialize`` writes back as the very key read.
 """
 
 import pytest
@@ -13,7 +14,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from torelli_graphs.enumeration import enumerate_stable_graphs  # noqa: E402
-from torelli_graphs.graph_core import StructuralError, raw_from_key  # noqa: E402
+from torelli_graphs.graph_core import (  # noqa: E402
+    StructuralError,
+    _serialize,
+    raw_from_key,
+)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=400, deadline=None)
 
@@ -58,11 +63,13 @@ def mutated(draw):
 @given(mutated())
 def test_mutated_key_refused_or_in_range(key):
     try:
-        genera, legs, branch, edges = raw_from_key(key)
+        raw = raw_from_key(key)
     except StructuralError:
         return
+    genera, legs, branch, edges = raw
     k = len(genera)
     assert k >= 1 and len(branch) == k
     assert all(type(g) is int and g >= 0 for g in genera + branch)
     assert all(0 <= v < k for _, v in legs)
     assert all(0 <= u < k and 0 <= v < k for u, v in edges)
+    assert _serialize(range(k), raw, None) == key

@@ -171,6 +171,17 @@ class TestKeptRaw:
         b"TG1;k=2;g=1,1;l=;b=;e=0-1,",  # an empty list item
         "TG1;k=2;g=1,\u0661;l=;b=;e=0-1".encode(),  # a non-ASCII digit
         b"TG1;k=99999999999;g=0;l=;b=;e=",  # refused before [0] * k
+        # text that parses but that _serialize never writes
+        b"TG1;k=1;g=01;l=1:0,2:0;b=;e=",  # a leading zero
+        b"TG1;k=01;g=1;l=1:0,2:0;b=;e=",
+        b"TG1;k=1;g=0;l=01:0,2:0,3:0;b=;e=",
+        b"TG1;k=1;g=1;l=1:0,2:0;b=0:0;e=0-0",  # a zero branch count
+        b"TG1;k=1;g=1;l=1:0;b=0:01;e=0-0",
+        b"TG1;k=2;g=1,1;l=;b=0:1,0:1;e=0-1",  # a repeated branch item
+        b"TG1;k=2;g=1,1;l=;b=1:1,0:1;e=0-1",  # unsorted branch items
+        b"TG1;k=2;g=1,1;l=;b=;e=1-1,0-1",  # unsorted edges
+        b"TG1;k=2;g=1,1;l=;b=;e=1-0",  # an edge written v-u
+        b"TG1;k=2;g=0,0;l=2:0,1:1,3:1;b=;e=0-1,0-1",  # unsorted legs
     ])
     def test_unreadable_key_refused(self, key):
         with pytest.raises(StructuralError):

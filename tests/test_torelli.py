@@ -35,6 +35,7 @@ from _oracles import (
 import torelli_graphs.contraction as contraction
 import torelli_graphs.graph_core as graph_core
 import torelli_graphs.torelli as torelli_module
+from torelli_graphs.cli import main
 
 
 def r_shape():
@@ -175,6 +176,35 @@ class TestPst:
         assert len(keys) == 3
 
 
+class TestNoDictBuild:
+    """The class keys of a graph that keeps its raw read the raw: its
+    halfedge dicts are never built."""
+
+    @pytest.fixture
+    def view_builds(self, monkeypatch):
+        calls = []
+        raw_views = graph_core._raw_views
+
+        def counting(raw):
+            calls.append(raw)
+            return raw_views(raw)
+
+        monkeypatch.setattr(graph_core, "_raw_views", counting)
+        return calls
+
+    def test_torelli_key_on_kept_raw(self, catalog, view_builds):
+        cat = catalog(2, 3)
+        for i in range(len(cat)):
+            torelli_key(cat.graph(i))
+        assert view_builds == []
+
+    def test_torelli_classes_command(self, catalog, view_builds, capsys):
+        catalog(2, 3)  # cached, so the command reads it from the cache
+        assert main(["torelli-classes", "--genus", "2", "--markings", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["catalog_size"] == 555
+        assert view_builds == []
+
+
 class TestC1Sets:
     def test_cycle_single_block(self):
         for k in (2, 3, 4):
@@ -200,23 +230,25 @@ class TestC1Sets:
             c1_sets(g)
 
     def test_well_definedness_law(self, catalog):
-        for gn in [(2, 0), (2, 1), (1, 3)]:
-            for g in catalog(*gn).graphs():
-                if g.separating_edges():
-                    continue
-                part = c1_sets(g)
-                all_edges = set(g.edges())
-                covered = set()
-                for block in part.blocks:
-                    assert not (covered & block)
-                    covered |= block
-                    for p in block:
-                        pieces = g.delete_edges([p])
-                        seps = frozenset().union(
-                            *(naive_separating_edges(x) for x in pieces)
-                        )
-                        assert seps == block - {p}
-                assert covered == all_edges
+        # bridgeless catalog graphs, and pst pieces, which keep the ids of
+        # their host
+        pool = [g for gn in [(2, 0), (2, 1), (1, 3)] for g in catalog(*gn).graphs()
+                if not g.separating_edges()]
+        pool += [piece for gn in [(2, 2), (3, 0)] for g in catalog(*gn).graphs()
+                 for piece in pst(g).components]
+        for g in pool:
+            part = c1_sets(g)
+            covered = set()
+            for block in part.blocks:
+                assert not (covered & block)
+                covered |= block
+                for p in block:
+                    pieces = g.delete_edges([p])
+                    seps = frozenset().union(
+                        *(naive_separating_edges(x) for x in pieces)
+                    )
+                    assert seps == block - {p}
+            assert covered == set(g.edges())
 
 
 class TestC1Equivalence:
@@ -284,6 +316,16 @@ class TestTorelliKey:
             edges=[(0, 1), (0, 4), (4, 2), (4, 3)],
         )
         assert torelli_key(plain) == torelli_key(refined)
+
+    def test_pairing_within_a_block_is_free(self):
+        # one C1-set meets four vertices in two orders: the graphs are not
+        # isomorphic, but C1-equivalent, so they share a class
+        genera = {0: 1, 1: 1, 2: 2, 3: 2}
+        a = StableGraph.build(genera, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
+        b = StableGraph.build(genera, edges=[(0, 2), (2, 1), (1, 3), (3, 0)])
+        assert a.canonical_key() != b.canonical_key()
+        assert c1_equivalent(pst(a), pst(b))[0]
+        assert torelli_key(a) == torelli_key(b)
 
     def test_banana_vs_separating_pair_distinct(self):
         banana = StableGraph.build({0: 1, 1: 1}, edges=[(0, 1), (0, 1)])
