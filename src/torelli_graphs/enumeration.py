@@ -504,6 +504,8 @@ def _walk(catalog: GraphCatalog, subsets: str) -> Iterator[tuple]:
         res = canonicalize_raw(child)
         i = index.get(res.key)
         if i is None:
+            for key in keys:  # a damaged key is the likelier cause; name it
+                raw_from_key(key)
             raise DomainError("contraction left the catalog; it is incomplete")
         where = [0] * len(raw[0])
         for pos, orig in enumerate(res.order):

@@ -1,15 +1,15 @@
 """Genus-decorated half-edge multigraphs with labelled legs.
 
-A graph is stored as vertex genera, a halfedge-to-vertex incidence map, a
-pairing involution on halfedges (a matched pair is an edge, a pair on one
-vertex is a loop), and an injective map from marking labels to unpaired
-halfedges (legs).  An unpaired, unlabelled halfedge is a branch point: it
-records where an edge was cut and keeps its id, so cutting and regluing
-round-trips exactly.
+A graph has vertex genera, halfedges on vertices, a pairing involution on
+halfedges (a matched pair is an edge, a pair on one vertex is a loop), and
+an injective map from marking labels to unpaired halfedges (legs).  An
+unpaired, unlabelled halfedge is a branch point: it records where an edge
+was cut and keeps its id, so cutting and regluing round-trips exactly.
 
 Graphs are immutable after construction and always connected.  Edge ids are
-the sorted pair of their two halfedge ids.  A graph built from a raw tuple
-(below) keeps it and builds its halfedge dicts only when they are read.
+the sorted pair of their two halfedge ids.  A graph is stored as its raw
+tuple (below) with the ids of its vertices and halfedges; the halfedge
+accessors derive their answers from that on every call.
 """
 
 from __future__ import annotations
@@ -460,46 +460,6 @@ def _build_edges(n: int) -> tuple:
     return tuple((h, h + 1) for h in range(0, 2 * n, 2))
 
 
-# the halfedge dicts of a StableGraph, which a graph built from a raw
-# fills from it on first use
-_VIEWS = ("_genus", "_hvertex", "_mate", "_legs", "_h_at", "_branch")
-
-
-def _raw_views(raw: Raw) -> tuple:
-    """The values of ``_VIEWS`` for a checked raw graph, in the ``build``
-    numbering: edge i carries halfedges (2i, 2i + 1), then come the legs
-    in label order, then one stub per branch point."""
-    genera, legs, branch, edges = raw
-    ends = [v for e in edges for v in e] + [v for _, v in legs]
-    ends += [v for v, c in enumerate(branch) for _ in range(c)]
-    n = 2 * len(edges)
-    mate = {}
-    for h in range(0, n, 2):
-        mate[h] = h + 1
-        mate[h + 1] = h
-    h_at: dict = {v: [] for v in range(len(genera))}
-    for h, v in enumerate(ends):
-        h_at[v].append(h)
-    return (
-        dict(enumerate(genera)),
-        dict(enumerate(ends)),
-        mate,
-        {lab: h for h, (lab, _) in enumerate(legs, n)},
-        {v: tuple(hs) for v, hs in h_at.items()},
-        frozenset(range(n + len(legs), len(ends))),
-    )
-
-
-def _index_form(genus: dict, hvertex: dict, edges) -> tuple:
-    """(vertex ids, genera, ends, halves) of vertex -> genus, halfedge ->
-    vertex and edge pairs: vertex i is the i-th smallest id, and edge i
-    joins the vertex indices ``ends[i]`` by the halfedges ``halves[i]``."""
-    vids = sorted(genus)
-    index = {v: i for i, v in enumerate(vids)}
-    ends = [(index[hvertex[a]], index[hvertex[b]]) for a, b in edges]
-    return vids, [genus[v] for v in vids], ends, edges
-
-
 # ---------------------------------------------------------------------------
 # Connectivity and bridges.
 # ---------------------------------------------------------------------------
@@ -590,20 +550,21 @@ class AutomorphismGroup:
 
 
 class StableGraph:
-    """A connected graph, held as halfedge dicts (the ``_VIEWS`` and
-    ``_edges``), as a raw tuple (``_raw``), or both.
+    """A connected graph, held in one form:
 
-    ``__init__`` validates halfedge data and fills the dicts; the raw is
-    computed from them on first use (``_raw_data``).  ``from_raw`` checks a
-    raw tuple and keeps it, in a ``_RawGraph`` that builds the dicts on
-    first use.  ``_raw`` is (raw, vertex id per raw index, halfedge pair per
-    raw edge (u, v): the one at u, then the one at v), or None until then.
+    - ``_raw``: its checked raw tuple;
+    - ``_vids``: the vertex id of each raw index, ascending;
+    - ``_halves``: the halfedge pair of each raw edge (u, v), the one at u
+      first (a loop's smaller id first);
+    - ``_leg_ids``: the halfedge of each leg, in label order;
+    - ``_stub_ids``: the branch stubs, by raw index and then by id.
+
+    ``__init__`` validates halfedge data and converts it once.
+    ``from_raw`` checks a raw tuple and keeps it, with the ``build``
+    numbering.  Every accessor derives its answer from this form.
     """
 
-    __slots__ = (
-        "_genus", "_hvertex", "_mate", "_legs",
-        "_h_at", "_edges", "_branch", "_canon", "_raw",
-    )
+    __slots__ = ("_raw", "_vids", "_halves", "_leg_ids", "_stub_ids", "_canon")
 
     def __init__(self, vertices, halfedges, edges, legs):
         vitems = list(vertices.items() if isinstance(vertices, dict) else vertices)
@@ -644,24 +605,35 @@ class StableGraph:
                 raise StructuralError(f"leg {lab} on unknown halfedge {h}")
             if h in mate:
                 raise StructuralError(f"leg {lab} sits on a paired halfedge")
-        self._genus = genus
-        self._hvertex = hvertex
-        self._mate = mate
-        self._legs = legmap
-        h_at: dict = {v: [] for v in genus}
-        for h in sorted(hvertex):
-            h_at[hvertex[h]].append(h)
-        self._h_at = {v: tuple(hs) for v, hs in h_at.items()}
-        es = [(h, m) for h, m in mate.items() if h < m]
-        es.sort()
-        self._edges = tuple(es)
+        vids = sorted(genus)
+        index = {v: i for i, v in enumerate(vids)}
+        pairs = []
+        for a, b in mate.items():
+            if a < b:
+                u, w = index[hvertex[a]], index[hvertex[b]]
+                pairs.append(((u, w), (a, b)) if u <= w else ((w, u), (b, a)))
+        pairs.sort()
+        leg_items = sorted(legmap.items())
         legged = set(legmap.values())
-        self._branch = frozenset(
-            h for h in hvertex if h not in mate and h not in legged
+        stubs = sorted(
+            (index[v], h) for h, v in hvertex.items() if h not in mate and h not in legged
         )
+        branch = [0] * len(vids)
+        for i, _ in stubs:
+            branch[i] += 1
+        raw_edges = tuple(e for e, _ in pairs)
+        self._raw = (
+            tuple(genus[v] for v in vids),
+            tuple((lab, index[hvertex[h]]) for lab, h in leg_items),
+            tuple(branch),
+            raw_edges,
+        )
+        self._vids = tuple(vids)
+        self._halves = tuple(pair for _, pair in pairs)
+        self._leg_ids = tuple(h for _, h in leg_items)
+        self._stub_ids = tuple(h for _, h in stubs)
         self._canon = None
-        self._raw = None
-        if len(connected_components(genus, [(hvertex[a], hvertex[b]) for a, b in es])) != 1:
+        if len(connected_components(range(len(vids)), raw_edges)) != 1:
             raise StructuralError("graph is not connected")
 
     # -- builders -----------------------------------------------------------
@@ -674,7 +646,7 @@ class StableGraph:
         ``edges``: (u, v) vertex pairs, repeats give parallel edges, u == v loops.
         ``legs``: mapping label -> vid.  ``branch_points``: vids, one stub each.
         """
-        # halfedges in the order of _raw_views: edge ends, legs, branch stubs
+        # halfedges numbered as from_raw numbers them: edge ends, legs, stubs
         ends = [w for u, v in edges for w in (u, v)]
         n = len(ends)
         labels = sorted(legs or {})
@@ -690,12 +662,17 @@ class StableGraph:
         """The graph of a raw tuple, which it keeps: vertex ids are raw
         indices, and halfedge ids follow the ``build`` numbering (edge i
         carries (2i, 2i + 1), then the legs in label order, then the
-        branch stubs).  The raw is checked here; the halfedge dicts are
-        built on the first call that reads them."""
+        branch stubs by vertex).  The raw is checked here."""
         _check_raw(raw)
-        graph = object.__new__(_RawGraph)
-        graph._edges = _build_edges(len(raw[3]))
-        graph._raw = (raw, range(len(raw[0])), graph._edges)
+        genera, legs, branch, edges = raw
+        n = 2 * len(edges)
+        m = n + len(legs)
+        graph = object.__new__(cls)
+        graph._raw = raw
+        graph._vids = range(len(genera))
+        graph._halves = _build_edges(len(edges))
+        graph._leg_ids = range(n, m)
+        graph._stub_ids = range(m, m + sum(branch))
         graph._canon = None
         return graph
 
@@ -706,96 +683,111 @@ class StableGraph:
         return cls.from_raw(raw_from_key(key))
 
     def _raw_data(self) -> tuple:
-        """(raw, vid_order, halfedge pair per raw edge), computed from the
-        halfedge dicts on the first call if the graph did not keep it."""
-        if self._raw is None:
-            vids, genera, ends, halves = _index_form(self._genus, self._hvertex, self._edges)
-            idx = {v: i for i, v in enumerate(vids)}
-            legs = tuple(sorted((lab, idx[self._hvertex[h]]) for lab, h in self._legs.items()))
-            branch = [0] * len(vids)
-            for h in self._branch:
-                branch[idx[self._hvertex[h]]] += 1
-            pairs = sorted(((u, v), (a, b)) if u <= v else ((v, u), (b, a))
-                           for (u, v), (a, b) in zip(ends, halves))
-            raw = (tuple(genera), legs, tuple(branch), tuple(e for e, _ in pairs))
-            self._raw = (raw, tuple(vids), tuple(pair for _, pair in pairs))
-        return self._raw
-
-    def _indexed(self) -> tuple:
-        """The ``_index_form`` of the graph, read from the raw if it has
-        one, else from the dicts without storing a raw."""
-        if self._raw is not None:
-            (genera, _, _, ends), vids, halves = self._raw
-            return vids, genera, ends, halves
-        return _index_form(self._genus, self._hvertex, self._edges)
+        """(raw, vertex id per raw index, halfedge pair per raw edge)."""
+        return self._raw, self._vids, self._halves
 
     def to_raw(self):
         """Return (raw, vid_order) with vid_order[i] the vertex at raw index i."""
-        raw, vids, _ = self._raw_data()
-        return raw, vids
+        return self._raw, self._vids
 
     # -- accessors ----------------------------------------------------------
 
+    def _index(self, v) -> int:
+        """The raw index of vertex ``v``; KeyError if it is not one."""
+        try:
+            return self._vids.index(v)
+        except ValueError:
+            raise KeyError(v) from None
+
     def vertices(self) -> list:
-        return sorted(self._genus)
+        return list(self._vids)
 
     def vertex_genus(self, v) -> int:
-        return self._genus[v]
+        return self._raw[0][self._index(v)]
 
     @property
     def legs(self) -> dict:
-        return dict(self._legs)
+        return {lab: h for (lab, _), h in zip(self._raw[1], self._leg_ids)}
 
     def legs_at(self, v) -> tuple:
-        return tuple(sorted(l for l, h in self._legs.items() if self._hvertex[h] == v))
+        return tuple(lab for lab, u in self._raw[1] if self._vids[u] == v)
 
     def halfedges(self) -> list:
-        return sorted(self._hvertex)
+        return sorted([h for pair in self._halves for h in pair]
+                      + [*self._leg_ids, *self._stub_ids])
 
     def vertex_of(self, h):
-        return self._hvertex[h]
+        """The vertex of halfedge ``h``: a scan of the stored form, and the
+        one halfedge lookup the other accessors share."""
+        _, legs, branch, edges = self._raw
+        for (u, w), (a, b) in zip(edges, self._halves):
+            if h == a or h == b:
+                return self._vids[u if h == a else w]
+        ends = [u for _, u in legs] + [u for u, c in enumerate(branch) for _ in range(c)]
+        for x, u in zip((*self._leg_ids, *self._stub_ids), ends):
+            if h == x:
+                return self._vids[u]
+        raise KeyError(h)
 
     def mate(self, h):
-        return self._mate.get(h)
+        for a, b in self._halves:
+            if h == a:
+                return b
+            if h == b:
+                return a
+        return None
 
     def valence(self, v) -> int:
-        return len(self._h_at[v])
+        i = self._index(v)
+        _, legs, branch, edges = self._raw
+        return (branch[i] + sum(u == i for _, u in legs)
+                + sum((u == i) + (w == i) for u, w in edges))
 
     def edges(self) -> tuple:
-        return self._edges
+        """Edge ids, sorted: each the sorted pair of its halfedges."""
+        return tuple(sorted((a, b) if a < b else (b, a) for a, b in self._halves))
 
     def edge_vertices(self, edge) -> tuple:
-        return (self._hvertex[edge[0]], self._hvertex[edge[1]])
+        return (self.vertex_of(edge[0]), self.vertex_of(edge[1]))
 
     def is_loop(self, edge) -> bool:
-        return self._hvertex[edge[0]] == self._hvertex[edge[1]]
+        return self.vertex_of(edge[0]) == self.vertex_of(edge[1])
 
     def loops_at(self, v) -> tuple:
-        return tuple(e for e in self._edges if self.is_loop(e) and self._hvertex[e[0]] == v)
+        return tuple(sorted(
+            pair for (u, w), pair in zip(self._raw[3], self._halves)
+            if u == w and self._vids[u] == v
+        ))
 
     def branch_points(self) -> frozenset:
-        return self._branch
+        return frozenset(self._stub_ids)
 
     def branch_points_at(self, v) -> tuple:
-        return tuple(sorted(h for h in self._branch if self._hvertex[h] == v))
+        if v not in self._vids:
+            return ()
+        i = self._vids.index(v)
+        branch = self._raw[2]
+        start = sum(branch[:i])
+        return tuple(self._stub_ids[start:start + branch[i]])
 
     def n_markings(self) -> int:
-        return len(self._legs)
+        return len(self._leg_ids)
 
     def __repr__(self):
         return (
-            f"StableGraph(g={self.genus()}, vertices={len(self._genus)}, "
-            f"edges={len(self._edges)}, legs={len(self._legs)})"
+            f"StableGraph(g={self.genus()}, vertices={len(self._vids)}, "
+            f"edges={len(self._halves)}, legs={len(self._leg_ids)})"
         )
 
     # -- invariants ---------------------------------------------------------
 
     def genus(self) -> int:
         """Arithmetic genus: sum of vertex genera plus the first Betti number."""
-        return sum(self._genus.values()) + len(self._edges) - len(self._genus) + 1
+        genera, _, _, edges = self._raw
+        return sum(genera) + len(edges) - len(genera) + 1
 
     def is_stable(self) -> bool:
-        genera, legs, branch, edges = self._raw_data()[0]
+        genera, legs, branch, edges = self._raw
         valence = list(branch)
         for _, v in legs:
             valence[v] += 1
@@ -842,15 +834,15 @@ class StableGraph:
 
     def separating_edges(self) -> frozenset:
         """Non-loop edges whose deletion disconnects the graph."""
-        (genera, _, _, edges), _, halves = self._raw_data()
+        genera, _, _, edges = self._raw
         bridges = bridge_edge_indices(len(genera), edges)
-        return frozenset(tuple(sorted(halves[i])) for i in bridges)
+        return frozenset(tuple(sorted(self._halves[i])) for i in bridges)
 
     def induced_components(self, vertices) -> list:
         """Vertex sets of the connected components of the subgraph induced
         on ``vertices``, in the order ``set.pop`` on a set of them meets
         the components (``z_contract`` numbers its points in this order)."""
-        (_, _, _, edges), vids, _ = self._raw_data()
+        edges, vids = self._raw[3], self._vids
         vertices = frozenset(vertices)
         pairs = []
         for u, w in edges:
@@ -866,60 +858,16 @@ class StableGraph:
             comps.append(comp)
         return comps
 
-    def delete_edges(self, edges) -> list:
-        """Drop edges entirely (halfedges removed) and split into components."""
-        drop = self._check_edges(edges)
-        gone = {h for e in drop for h in e}
-        return self._components(gone, keep_as_branch=frozenset())
-
-    def normalize_at(self, edges) -> list:
-        """Cut each edge, keeping both halfedges as branch points, then split
-        into connected components.  Vertex and halfedge ids are preserved."""
-        cut = self._check_edges(edges)
-        loose = {h for e in cut for h in e}
-        return self._components(loose, keep_as_branch=frozenset(loose))
-
-    def _check_edges(self, edges) -> list:
-        out = []
-        eset = set(self._edges)
-        for e in edges:
-            e = tuple(sorted(e))
-            if e not in eset:
-                raise DomainError(f"unknown edge {e}")
-            out.append(e)
-        return out
-
-    def _components(self, unpaired: set, keep_as_branch: frozenset) -> list:
-        mate = {h: m for h, m in self._mate.items()
-                if h not in unpaired and m not in unpaired}
-        pairs = [(self._hvertex[h], self._hvertex[m]) for h, m in mate.items()]
-        out = []
-        for comp in connected_components(sorted(self._genus), pairs):
-            vs = {v: self._genus[v] for v in comp}
-            hs = []
-            for v in comp:
-                for h in self._h_at[v]:
-                    if h in unpaired and h not in keep_as_branch:
-                        continue
-                    hs.append((h, v))
-            hset = {h for h, _ in hs}
-            es = [(a, b) for a, b in self._edges if a in hset and a in mate]
-            ls = {lab: h for lab, h in self._legs.items() if h in hset}
-            out.append(StableGraph(vs, hs, es, ls))
-        return out
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        genera, legs, _, _ = self._raw
+        vids = self._vids
         return {
-            "vertices": [
-                {"id": v, "genus": self._genus[v]} for v in sorted(self._genus)
-            ],
-            "halfedges": [
-                {"id": h, "vertex": self._hvertex[h]} for h in sorted(self._hvertex)
-            ],
-            "edges": [list(e) for e in self._edges],
-            "legs": {str(lab): h for lab, h in sorted(self._legs.items())},
+            "vertices": [{"id": v, "genus": g} for v, g in zip(vids, genera)],
+            "halfedges": [{"id": h, "vertex": self.vertex_of(h)} for h in self.halfedges()],
+            "edges": [list(e) for e in self.edges()],
+            "legs": {str(lab): h for (lab, _), h in zip(legs, self._leg_ids)},
         }
 
     @classmethod
@@ -937,33 +885,19 @@ class StableGraph:
         return cls(vertices, halfedges, edges, legs)
 
     def to_dot(self, name: str = "G") -> str:
+        genera, legs, _, _ = self._raw
+        vids = self._vids
         lines = [f'graph "{name}" {{']
-        for v in sorted(self._genus):
-            lines.append(f'  v{v} [label="v{v}:g{self._genus[v]}"];')
-        for a, b in self._edges:
-            lines.append(f"  v{self._hvertex[a]} -- v{self._hvertex[b]};")
-        for lab, h in sorted(self._legs.items()):
+        for v, g in zip(vids, genera):
+            lines.append(f'  v{v} [label="v{v}:g{g}"];')
+        for e in self.edges():
+            u, w = self.edge_vertices(e)
+            lines.append(f"  v{u} -- v{w};")
+        for (lab, u), h in zip(legs, self._leg_ids):
             lines.append(f'  leg_{lab} [shape=none, label=""];')
-            lines.append(f'  v{self._hvertex[h]} -- leg_{lab} [label="{lab}"];')
-        for i, h in enumerate(sorted(self._branch)):
+            lines.append(f'  v{vids[u]} -- leg_{lab} [label="{lab}"];')
+        for i, h in enumerate(sorted(self._stub_ids)):
             lines.append(f"  bp_{i} [shape=point];")
-            lines.append(f"  v{self._hvertex[h]} -- bp_{i};")
+            lines.append(f"  v{self.vertex_of(h)} -- bp_{i};")
         lines.append("}")
         return "\n".join(lines)
-
-
-class _RawGraph(StableGraph):
-    """A graph built by ``StableGraph.from_raw``: it starts with only
-    ``_edges``, ``_raw`` and ``_canon`` set and fills the halfedge dicts
-    from the raw when one is first read.  ``__getattr__`` sits here and not
-    on ``StableGraph`` because CPython stops specializing attribute reads on
-    the instances of a class that defines it."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        if name not in _VIEWS:
-            raise AttributeError(name)
-        for view, value in zip(_VIEWS, _raw_views(self._raw[0])):
-            setattr(self, view, value)
-        return getattr(self, name)

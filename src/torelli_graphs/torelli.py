@@ -12,10 +12,10 @@ The steps work on one index form of a graph, (vertex ids, genera, ends,
 halves): its vertices are 0..k-1 in ascending id order, with ``genera[i]``
 the genus of vertex i; edge i joins the vertices ``ends[i]`` and has the
 halfedge pair ``halves[i]``, the one at ``ends[i][0]`` first.  Inside the
-steps, halfedge 2i + s of a piece is ``halves[i][s]`` of its host.  A graph
-that keeps its raw gives the form straight from it
-(``StableGraph._indexed``), and only ``pst`` and ``stabilize_component``
-map the result back to ids.
+steps, halfedge 2i + s of a piece is ``halves[i][s]`` of its host.  A
+``StableGraph`` stores the form: its raw's genera and edges, with its
+vertex ids and halfedge pairs (``StableGraph._raw_data``).  Only ``pst``
+and ``stabilize_component`` map the result back to ids.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import lru_cache
 from .graph_core import (
     DomainError,
     StableGraph,
-    _index_form,
     bridge_edge_indices,
     canonicalize_raw,
     connected_components,
@@ -119,10 +118,9 @@ def stabilize_component(graph: StableGraph) -> StableGraph:
     Surviving vertices keep their ids.  The result class is independent of
     the contraction order.
     """
-    (_, legs, branch, _), _ = graph.to_raw()
+    (genera, legs, branch, ends), vids, halves = graph._raw_data()
     if legs or any(branch):
         raise DomainError("stabilization input must carry no legs or branch points")
-    vids, genera, ends, halves = graph._indexed()
     piece = _stabilized(genera, ends, range(len(genera)), range(len(ends)))
     return _graph_of(vids, halves, piece)
 
@@ -225,7 +223,7 @@ def pst(graph: StableGraph) -> PolystableGraph:
     """Forget markings, normalize at all separating edges, stabilize, and
     drop the genus-zero pieces.  Vertex and halfedge ids of survivors are
     preserved; pieces come in the order of their smallest vertex id."""
-    vids, genera, ends, halves = graph._indexed()
+    (genera, _, _, ends), vids, halves = graph._raw_data()
     return PolystableGraph._from_checked(
         tuple(_graph_of(vids, halves, p) for p in _pst_pieces(genera, ends))
     )
@@ -304,7 +302,7 @@ def _c1_blocks(genera, ends, halves) -> list:
 
 def c1_sets(graph: StableGraph) -> C1Partition:
     """Compute the C1 partition of a connected bridgeless graph."""
-    _, genera, ends, halves = graph._indexed()
+    (genera, _, _, ends), _, halves = graph._raw_data()
     edges = [tuple(sorted(h)) for h in halves]
     sets = [frozenset(edges[i] for i in block) for block in _c1_blocks(genera, ends, halves)]
     sets.sort(key=sorted)
@@ -333,7 +331,7 @@ def component_class_key(piece: StableGraph) -> bytes:
     """Canonical key of one piece's C1 incidence structure: vertices coloured
     by genus against blocks, with the block's halfedge count at each vertex
     as edge multiplicity."""
-    _, genera, ends, halves = piece._indexed()
+    (genera, _, _, ends), _, halves = piece._raw_data()
     return _incidence_key(genera, ends, _c1_blocks(genera, ends, halves))
 
 
@@ -366,13 +364,16 @@ def _pieces_key(pieces) -> bytes:
 
 def polystable_key(poly: PolystableGraph) -> bytes:
     """Class key: equal exactly for C1-equivalent unions with equal flags."""
-    return _pieces_key(piece._indexed() for piece in poly.components)
+    return _pieces_key(
+        (vids, genera, ends, halves)
+        for (genera, _, _, ends), vids, halves in map(StableGraph._raw_data, poly.components)
+    )
 
 
 def torelli_key(graph: StableGraph) -> bytes:
     """Class key of a stable graph of positive genus: the key of its
     ``pst`` pieces, computed without building them as graphs."""
-    _, genera, ends, _ = graph._indexed()
+    (genera, _, _, ends), _ = graph.to_raw()
     if sum(genera) + len(ends) - len(genera) + 1 < 1:
         raise DomainError("genus-zero graphs have no class key")
     return _pieces_key(_pst_pieces(genera, ends))
@@ -406,8 +407,10 @@ def _stratum_key(stratum) -> bytes:
     """Class key of one raw stratum, given as the data
     ``contraction._raw_strata`` yields."""
     genus, hvertex, edges, _legs = stratum
-    _, genera, ends, _ = _index_form(genus, hvertex, edges)
-    return _pieces_key(_pst_pieces(genera, ends))
+    vids = sorted(genus)
+    index = {v: i for i, v in enumerate(vids)}
+    ends = [(index[hvertex[a]], index[hvertex[b]]) for a, b in edges]
+    return _pieces_key(_pst_pieces([genus[v] for v in vids], ends))
 
 
 def _fiber_keys(axis: AxisGraph):

@@ -16,7 +16,7 @@ from math import factorial
 
 from torelli_graphs import Degeneration, DomainError, StableGraph
 from torelli_graphs.enumeration import check_type, iter_degenerations, raw_contract
-from torelli_graphs.graph_core import canonicalize_raw, raw_from_key
+from torelli_graphs.graph_core import canonicalize_raw, connected_components, raw_from_key
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,56 @@ def surviving_inserted_edges(graph: StableGraph, inserted) -> frozenset:
         if names:
             sets.append(frozenset(names))
     return frozenset(sets)
+
+
+# ---------------------------------------------------------------------------
+# Deleting and cutting edges, on the public accessors.
+# ---------------------------------------------------------------------------
+
+def _known_edges(graph: StableGraph, edges) -> list:
+    """The edges as sorted halfedge pairs; DomainError for one not in
+    ``graph``."""
+    known = set(graph.edges())
+    out = []
+    for e in edges:
+        e = tuple(sorted(e))
+        if e not in known:
+            raise DomainError(f"unknown edge {e}")
+        out.append(e)
+    return out
+
+
+def _split(graph: StableGraph, unpaired: set, keep_as_branch: set) -> list:
+    """The connected components, as graphs with the ids of ``graph``, once
+    the halfedges ``unpaired`` lose their mates: those in
+    ``keep_as_branch`` stay as branch points, the others go."""
+    where = {h: graph.vertex_of(h) for h in graph.halfedges()}
+    kept = [(a, b) for a, b in graph.edges() if a not in unpaired and b not in unpaired]
+    out = []
+    for comp in connected_components(graph.vertices(), [(where[a], where[b]) for a, b in kept]):
+        hs = [(h, v) for h, v in where.items()
+              if v in comp and (h not in unpaired or h in keep_as_branch)]
+        hset = {h for h, _ in hs}
+        out.append(StableGraph(
+            {v: graph.vertex_genus(v) for v in comp},
+            hs,
+            [e for e in kept if e[0] in hset],
+            {lab: h for lab, h in graph.legs.items() if h in hset},
+        ))
+    return out
+
+
+def delete_edges(graph: StableGraph, edges) -> list:
+    """Drop edges entirely (halfedges removed) and split into components."""
+    gone = {h for e in _known_edges(graph, edges) for h in e}
+    return _split(graph, gone, keep_as_branch=set())
+
+
+def normalize_at(graph: StableGraph, edges) -> list:
+    """Cut each edge, keeping both halfedges as branch points, then split
+    into connected components.  Vertex and halfedge ids are preserved."""
+    loose = {h for e in _known_edges(graph, edges) for h in e}
+    return _split(graph, loose, keep_as_branch=loose)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +581,7 @@ def c1_blocks_by_deletion(graph: StableGraph) -> list:
     blocks = []
     for e in graph.edges():
         if not any(e in block for block in blocks):
-            rest = graph.delete_edges([e])
+            rest = delete_edges(graph, [e])
             blocks.append(frozenset({e}).union(*map(naive_separating_edges, rest)))
     return blocks
 

@@ -31,3 +31,20 @@ def catalog():
         return _CATALOGS[key]
 
     return get
+
+
+@pytest.fixture
+def halfedge_lookups(monkeypatch):
+    """Calls of ``StableGraph.vertex_of``, the per-call halfedge lookup the
+    accessors share: a path that reads only the stored raw makes none."""
+    from torelli_graphs.graph_core import StableGraph
+
+    calls = []
+    vertex_of = StableGraph.vertex_of
+
+    def counting(graph, h):
+        calls.append(h)
+        return vertex_of(graph, h)
+
+    monkeypatch.setattr(StableGraph, "vertex_of", counting)
+    return calls

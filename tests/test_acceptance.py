@@ -38,6 +38,7 @@ from _oracles import (
     c1_equivalent,
     brute_force_catalog_keys,
     contract_edges,
+    delete_edges,
     genus_zero_catalog_size,
     leg_insertion_catalog_keys,
     naive_separating_edges,
@@ -190,7 +191,7 @@ def test_criterion_5_c1_machinery(catalog):
                     assert not (covered & block)
                     covered |= block
                     for p in block:
-                        pieces = graph.delete_edges([p])
+                        pieces = delete_edges(graph, [p])
                         seps = frozenset().union(
                             *(naive_separating_edges(x) for x in pieces)
                         ) if pieces else frozenset()

@@ -131,7 +131,7 @@ class TestEnumerateCmd:
         "branch-past-k": (";b=;", ";b=7:1;", "not a graph key"),
         "edge-past-k": (";e=0-0", ";e=0-9", "not a graph key"),
         "negative-branch": (";b=;", ";b=-1:1;", "not a graph key"),
-        "huge-k": ("k=1;", "k=99999999999;", ""),
+        "huge-k": ("k=1;", "k=99999999999;", "key has k="),
         "leading-zero": ("g=0;", "g=00;", "not a graph key"),
         "zero-branch": (";b=;", ";b=0:0;", "not a graph key"),
         "repeated-branch": (";b=;", ";b=0:1,0:1;", "not a graph key"),

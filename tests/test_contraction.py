@@ -23,7 +23,7 @@ from torelli_graphs import (
 
 from torelli_graphs.graph_core import MAX_GENUS
 
-from _oracles import stable_tree_count, star_canonical_key, star_genus
+from _oracles import normalize_at, stable_tree_count, star_canonical_key, star_genus
 
 
 def r_shape():
@@ -234,7 +234,7 @@ class TestRelabelledOutputs:
                     contraction_record(g, chosen),
                     contraction_record(g, rational),
                     [p.to_json_dict() for p in pst(g).components],
-                    [p.to_json_dict() for p in g.normalize_at(g.separating_edges())],
+                    [p.to_json_dict() for p in normalize_at(g, g.separating_edges())],
                     [[sorted(b.vertices), b.category, list(b.attachment_profile)]
                      for b in bridges],
                 ]

@@ -28,6 +28,7 @@ from _oracles import (
     brute_force_vertex_automorphisms,
     build_numbered_graph,
     naive_separating_edges,
+    normalize_at,
 )
 
 
@@ -90,20 +91,8 @@ def graph_record(g) -> list:
 
 
 class TestKeptRaw:
-    """A graph built from a key or a raw keeps the raw and builds its
-    halfedge dicts on first use."""
-
-    @pytest.fixture
-    def view_builds(self, monkeypatch):
-        calls = []
-        raw_views = graph_core._raw_views
-
-        def counting(raw):
-            calls.append(raw)
-            return raw_views(raw)
-
-        monkeypatch.setattr(graph_core, "_raw_views", counting)
-        return calls
+    """A graph built from a key or a raw keeps the raw as its stored form,
+    and its halfedge accessors answer as the validating constructor's."""
 
     def test_catalog_graphs_match_validating_constructor(self, catalog):
         count = 0
@@ -115,7 +104,7 @@ class TestKeptRaw:
                 count += 1
         assert count == 236 + 163 + 555 + 181 + 5608
 
-    def test_raw_operations_build_no_dicts(self, catalog, view_builds):
+    def test_raw_operations_build_no_dicts(self, catalog, halfedge_lookups):
         cat = catalog(2, 4)
         contracted = 0
         for i in range(len(cat)):
@@ -129,13 +118,7 @@ class TestKeptRaw:
             g.is_stable()
             g.to_raw()
         assert contracted == 700
-        assert view_builds == []
-        g = cat.graph(0)
-        g.halfedges()
-        assert len(view_builds) == 1
-        g.halfedges()
-        g.vertices()
-        assert len(view_builds) == 1
+        assert halfedge_lookups == []
 
     @pytest.mark.parametrize("raw, match", [
         (((1, 1), (), (0, 0), ((0, 2),)), "not a pair"),
@@ -151,10 +134,10 @@ class TestKeptRaw:
     ], ids=["edge-end-out-of-range", "edge-ends-reversed", "disconnected",
             "edges-unsorted", "duplicate-leg-label", "legs-unsorted",
             "leg-on-unknown-vertex", "genus-too-large", "genus-negative", "empty"])
-    def test_from_raw_refusals(self, view_builds, raw, match):
+    def test_from_raw_refusals(self, halfedge_lookups, raw, match):
         with pytest.raises(StructuralError, match=match):
             StableGraph.from_raw(raw)
-        assert view_builds == []
+        assert halfedge_lookups == []
 
     @pytest.mark.parametrize("key", [
         b"TG1;k=3;g=0,0,0;l=;b=7:1;e=0-1,1-2",  # branch position past k
@@ -455,25 +438,25 @@ class TestConnectedComponents:
 class TestNormalizeAt:
     def test_cut_bridge(self):
         g = StableGraph.build({0: 1, 1: 1}, edges=[(0, 1)])
-        comps = g.normalize_at(g.edges())
+        comps = normalize_at(g, g.edges())
         assert sorted(c.genus() for c in comps) == [1, 1]
         assert all(len(c.branch_points()) == 1 for c in comps)
 
     def test_cut_one_banana_edge(self):
         g = banana(1, 1, 2)
-        (comp,) = g.normalize_at([g.edges()[0]])
+        (comp,) = normalize_at(g, [g.edges()[0]])
         assert comp.genus() == g.genus() - 1
         assert len(comp.branch_points()) == 2
 
     def test_cut_nothing(self):
         g = banana(1, 1, 2)
-        (comp,) = g.normalize_at([])
+        (comp,) = normalize_at(g, [])
         assert comp.canonical_key() == g.canonical_key()
 
     def test_unknown_edge(self):
         g = banana(1, 1, 2)
         with pytest.raises(DomainError):
-            g.normalize_at([(998, 999)])
+            normalize_at(g, [(998, 999)])
 
     def test_reglue_restores_graph(self, catalog):
         # regluing the cut halfedges reproduces the original graph
@@ -481,7 +464,7 @@ class TestNormalizeAt:
             cut = list(g.separating_edges()) + [
                 e for e in g.edges() if not g.is_loop(e)
             ][:1]
-            comps = g.normalize_at(cut)
+            comps = normalize_at(g, cut)
             vs, hs, es, legs = {}, [], [], {}
             for c in comps:
                 for v in c.vertices():

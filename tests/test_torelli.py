@@ -27,8 +27,10 @@ from torelli_graphs import (
 
 from _oracles import (
     c1_equivalent,
+    delete_edges,
     exhaustive_fiber_verdict,
     naive_separating_edges,
+    normalize_at,
     random_order_stabilize_keys,
     surviving_inserted_edges,
 )
@@ -75,7 +77,7 @@ class TestStabilize:
         rng = random.Random(31)
         pool = []
         for g in catalog(2, 0).graphs():
-            pieces = g.normalize_at(g.separating_edges())
+            pieces = normalize_at(g, g.separating_edges())
             pool.extend(pieces)
         # also some synthetic unstable chains
         pool.append(StableGraph.build(
@@ -177,32 +179,20 @@ class TestPst:
 
 
 class TestNoDictBuild:
-    """The class keys of a graph that keeps its raw read the raw: its
-    halfedge dicts are never built."""
+    """The class keys of a graph read its stored raw: no halfedge lookup
+    runs."""
 
-    @pytest.fixture
-    def view_builds(self, monkeypatch):
-        calls = []
-        raw_views = graph_core._raw_views
-
-        def counting(raw):
-            calls.append(raw)
-            return raw_views(raw)
-
-        monkeypatch.setattr(graph_core, "_raw_views", counting)
-        return calls
-
-    def test_torelli_key_on_kept_raw(self, catalog, view_builds):
+    def test_torelli_key_on_kept_raw(self, catalog, halfedge_lookups):
         cat = catalog(2, 3)
         for i in range(len(cat)):
             torelli_key(cat.graph(i))
-        assert view_builds == []
+        assert halfedge_lookups == []
 
-    def test_torelli_classes_command(self, catalog, view_builds, capsys):
+    def test_torelli_classes_command(self, catalog, halfedge_lookups, capsys):
         catalog(2, 3)  # cached, so the command reads it from the cache
         assert main(["torelli-classes", "--genus", "2", "--markings", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["catalog_size"] == 555
-        assert view_builds == []
+        assert halfedge_lookups == []
 
 
 class TestC1Sets:
@@ -243,7 +233,7 @@ class TestC1Sets:
                 assert not (covered & block)
                 covered |= block
                 for p in block:
-                    pieces = g.delete_edges([p])
+                    pieces = delete_edges(g, [p])
                     seps = frozenset().union(
                         *(naive_separating_edges(x) for x in pieces)
                     )
@@ -296,8 +286,29 @@ class TestC1Equivalence:
 
 
 class TestTorelliKey:
+    # (5,0) pairs that _oracles.c1_equivalent finds C1-equivalent although
+    # their pst pieces are not isomorphic; (5,0) holds 21 such pairs
+    C1_PAIRS = [
+        (b"TG1;k=4;g=0,0,0,0;l=;b=;e=0-1,0-2,0-2,1-3,1-3,2-2,2-3,3-3",
+         b"TG1;k=4;g=0,0,0,0;l=;b=;e=0-2,0-3,0-3,1-2,1-2,1-3,2-2,3-3"),
+        (b"TG1;k=4;g=0,0,0,1;l=;b=;e=0-1,0-1,0-3,1-1,1-2,2-2,2-3",
+         b"TG1;k=4;g=0,0,0,1;l=;b=;e=0-1,0-2,0-2,1-1,1-3,2-2,2-3"),
+        (b"TG1;k=5;g=0,0,0,1,1;l=;b=;e=0-1,0-1,0-2,1-3,2-2,2-4,3-4",
+         b"TG1;k=5;g=0,0,0,1,1;l=;b=;e=0-1,0-1,0-3,1-4,2-2,2-3,2-4"),
+        (b"TG1;k=6;g=0,0,0,0,1,1;l=;b=;e=0-1,0-2,0-2,1-3,1-3,2-4,3-5,4-5",
+         b"TG1;k=6;g=0,0,0,0,1,1;l=;b=;e=0-2,0-2,0-4,1-3,1-3,1-4,2-5,3-5"),
+    ]
+
+    def test_c1_pairs_are_not_isomorphic(self):
+        for a, b in self.C1_PAIRS:
+            pa, pb = (pst(StableGraph.from_canonical_key(k)) for k in (a, b))
+            assert c1_equivalent(pa, pb)[0]
+            assert (sorted(c.canonical_key() for c in pa.components)
+                    != sorted(c.canonical_key() for c in pb.components))
+
     def test_matches_c1_equivalence(self, catalog):
         polys = [pst(g) for g in catalog(2, 0).graphs()]
+        polys += [pst(StableGraph.from_canonical_key(k)) for pair in self.C1_PAIRS for k in pair]
         keys = [polystable_key(p) for p in polys]
         for i in range(len(polys)):
             for j in range(len(polys)):
