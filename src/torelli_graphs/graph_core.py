@@ -614,24 +614,26 @@ class StableGraph:
                 pairs.append(((u, w), (a, b)) if u <= w else ((w, u), (b, a)))
         pairs.sort()
         leg_items = sorted(legmap.items())
-        legged = set(legmap.values())
-        stubs = sorted(
-            (index[v], h) for h, v in hvertex.items() if h not in mate and h not in legged
-        )
         branch = [0] * len(vids)
-        for i, _ in stubs:
-            branch[i] += 1
-        raw_edges = tuple(e for e, _ in pairs)
+        stubs = []
+        if len(hvertex) > len(mate) + len(legmap):  # some halfedge is a stub
+            legged = set(legmap.values())
+            stubs = sorted([
+                (index[v], h) for h, v in hvertex.items() if h not in mate and h not in legged
+            ])
+            for i, _ in stubs:
+                branch[i] += 1
+        raw_edges, halves = zip(*pairs) if pairs else ((), ())
         self._raw = (
-            tuple(genus[v] for v in vids),
-            tuple((lab, index[hvertex[h]]) for lab, h in leg_items),
+            tuple([genus[v] for v in vids]),
+            tuple([(lab, index[hvertex[h]]) for lab, h in leg_items]),
             tuple(branch),
             raw_edges,
         )
         self._vids = tuple(vids)
-        self._halves = tuple(pair for _, pair in pairs)
-        self._leg_ids = tuple(h for _, h in leg_items)
-        self._stub_ids = tuple(h for _, h in stubs)
+        self._halves = halves
+        self._leg_ids = tuple([h for _, h in leg_items])
+        self._stub_ids = tuple([h for _, h in stubs])
         self._canon = None
         if len(connected_components(range(len(vids)), raw_edges)) != 1:
             raise StructuralError("graph is not connected")
