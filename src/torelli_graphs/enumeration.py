@@ -139,8 +139,7 @@ class GraphCatalog:
 
     def graph(self, i: int) -> StableGraph:
         """The representative of key i (``StableGraph.from_canonical_key``):
-        it keeps the parsed key as its raw, which its raw-level operations
-        read; its halfedge dicts are built on first use."""
+        it keeps the parsed key as its raw, which every accessor reads."""
         return StableGraph.from_canonical_key(self.keys[i])
 
     def graphs(self) -> Iterator[StableGraph]:

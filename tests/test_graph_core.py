@@ -173,6 +173,48 @@ class TestKeptRaw:
             StableGraph.from_canonical_key(key)
 
 
+class TestAccessors:
+    """The halfedge accessors of a graph built from halfedge data answer
+    from that data, under random ids; pieces cut at bridges carry stubs."""
+
+    def test_answers_match_the_input(self, catalog):
+        rng = random.Random(5)
+        checked = 0
+        for g in catalog(2, 2).graphs():
+            for piece in [g] + normalize_at(g, g.separating_edges()):
+                hids = piece.halfedges()
+                new_v = dict(zip(piece.vertices(), rng.sample(range(100), len(piece.vertices()))))
+                new_h = dict(zip(hids, rng.sample(range(1000), len(hids))))
+                where = {new_h[h]: new_v[piece.vertex_of(h)] for h in hids}
+                pairs = [(new_h[b], new_h[a]) for a, b in piece.edges()]
+                legs = {lab: new_h[h] for lab, h in piece.legs.items()}
+                genus = {new_v[v]: piece.vertex_genus(v) for v in piece.vertices()}
+                x = StableGraph(genus, list(where.items()), pairs, legs)
+                mate = dict(pairs) | {b: a for a, b in pairs}
+                stubs = set(where) - set(mate) - set(legs.values())
+                assert x.vertices() == sorted(genus)
+                assert x.halfedges() == sorted(where)
+                assert x.edges() == tuple(sorted(tuple(sorted(p)) for p in pairs))
+                assert x.legs == legs and x.branch_points() == stubs
+                assert [x.vertex_of(h) for h in where] == list(where.values())
+                assert [x.mate(h) for h in where] == [mate.get(h) for h in where]
+                for v in genus:
+                    at = sorted(h for h in where if where[h] == v)
+                    assert x.vertex_genus(v) == genus[v] and x.valence(v) == len(at)
+                    assert x.legs_at(v) == tuple(sorted(lab for lab, h in legs.items() if h in at))
+                    assert x.branch_points_at(v) == tuple(h for h in at if h in stubs)
+                    assert x.loops_at(v) == tuple(sorted(
+                        tuple(sorted(p)) for p in pairs if where[p[0]] == where[p[1]] == v
+                    ))
+                for ask in (x.vertex_genus, x.valence, x.vertex_of):
+                    with pytest.raises(KeyError):
+                        ask(-1)
+                assert (x.mate(-1), x.legs_at(-1), x.branch_points_at(-1), x.loops_at(-1)) \
+                    == (None, (), (), ())
+                checked += 1
+        assert checked > 100
+
+
 class TestGenus:
     def test_single_genus2(self):
         assert StableGraph.build({0: 2}).genus() == 2
