@@ -332,7 +332,7 @@ def classify_axis_points(axis: AxisGraph) -> AxisClassification:
 # ---------------------------------------------------------------------------
 
 def _tree_raw(tree: tuple, m: int):
-    """The raw graph of a flat tree (see ``_tree_menu``)."""
+    """The raw graph of a flat tree (see ``_tree_layer``)."""
     nv = (len(tree) - m) // 2 + 1
     ends = tree[m:]
     edges = sorted(
@@ -343,48 +343,98 @@ def _tree_raw(tree: tuple, m: int):
 
 
 @lru_cache(maxsize=None)
-def _tree_menu(m: int) -> tuple:
-    """The trees of ``leaf_labeled_trees(m)``, in its order and numbering,
-    each flattened to one int tuple: the vertex of each leaf 1..m, then the
-    two end vertices of each edge.  Vertices are 0..#edges; the graph is
-    ``StableGraph.build`` of those edges and leaves."""
+def _layers(m: int) -> tuple:
+    """The (vertex count nv, length) of each ``_tree_layer(m, nv)``, in
+    the order of their keys, without building any tree.  A layer has one
+    candidate per vertex of each tree of m - 1 leaves and nv vertices, and
+    one per edge or leg (nv - 2 + m - 1 of them) of each tree of m - 1
+    leaves and nv - 1 vertices.  Every key starts with
+    ``TG1;k=<vertex count>;``, so the layers go in the byte order of
+    ``b"%d;" % nv``: ascending up to m = 11, and from m = 12 on ``k=10;``
+    sorts before ``k=1;``."""
     if m < 3:
         raise DomainError("stable genus-zero trees need at least 3 leaves")
     if m == 3:
+        return ((1, 1),)
+    prev = dict(_layers(m - 1))
+    sizes = {
+        nv: nv * prev.get(nv, 0) + (nv - 3 + m) * prev.get(nv - 1, 0)
+        for nv in range(1, m - 1)
+    }
+    return tuple(sorted(sizes.items(), key=lambda item: b"%d;" % item[0]))
+
+
+@lru_cache(maxsize=None)
+def _tree_layer(m: int, nv: int) -> tuple:
+    """The trees of ``leaf_labeled_trees(m)`` with ``nv`` vertices, in
+    canonical key order, each flattened to one int tuple: the vertex of
+    each leaf 1..m, then the two end vertices of each edge.  Vertices are
+    0..nv - 1; the graph is ``StableGraph.build`` of those edges and
+    leaves.
+
+    The candidates insert leaf m at a vertex of each tree of
+    ``_tree_layer(m - 1, nv)``, and at an edge or a leg of each tree of
+    ``_tree_layer(m - 1, nv - 1)``, where it splits off the new vertex
+    nv - 1 (carrying both labels at a leg).  Each tree of m leaves is
+    exactly one candidate, so none is dropped.  Remove leaf m from it,
+    and smooth the vertex it leaves if that vertex has valence 2: this
+    gives the one tree of m - 1 leaves it comes from, and the one vertex,
+    edge or leg where m went in.  A stable tree with labelled leaves has
+    no automorphism but the identity, as each edge is fixed by the leaves
+    on its sides, so that site is one site of the layer's representative.
+    """
+    if not 1 <= nv <= m - 2:
+        return ()
+    if m == 3:
         return ((0, 0, 0),)
-    out: dict = {}
-    for t in _tree_menu(m - 1):
+    cands = []
+    for t in _tree_layer(m - 1, nv):
         legs, ends = t[: m - 1], t[m - 1:]
-        nv = len(ends) // 2 + 1
-        cands = [legs + (v,) + ends for v in range(nv)]
+        cands += [legs + (v,) + ends for v in range(nv)]
+    new = nv - 1
+    for t in _tree_layer(m - 1, new):
+        legs, ends = t[: m - 1], t[m - 1:]
         for j in range(0, len(ends), 2):
             u, w = ends[j], ends[j + 1]
-            cands.append(legs + (nv,) + ends[:j] + ends[j + 2:] + (u, nv, nv, w))
+            cands.append(legs + (new,) + ends[:j] + ends[j + 2:] + (u, new, new, w))
         for i, v in enumerate(legs):
-            cands.append(legs[:i] + (nv,) + legs[i + 1:] + (nv,) + ends + (v, nv))
-        for cand in cands:
-            out.setdefault(canonicalize_raw(_tree_raw(cand, m)).key, cand)
-    return tuple(out[k] for k in sorted(out))
+            cands.append(legs[:i] + (new,) + legs[i + 1:] + (new,) + ends + (v, new))
+    return tuple(
+        cand for _, cand in sorted((canonicalize_raw(_tree_raw(c, m)).key, c) for c in cands)
+    )
+
+
+def _tree_at(m: int, pick: int) -> tuple:
+    """Tree ``pick`` of ``leaf_labeled_trees(m)`` as a flat tuple (see
+    ``_tree_layer``).  Only the layer that holds it is built."""
+    for nv, size in _layers(m):
+        if pick < size:
+            return _tree_layer(m, nv)[pick]
+        pick -= size
 
 
 @lru_cache(maxsize=None)
 def leaf_labeled_trees(m: int) -> tuple:
     """All stable genus-zero graphs with leaves 1..m, up to isomorphism, in
-    canonical key order.
+    canonical key order: the layers of ``_tree_layer`` in the order of
+    ``_layers`` (by vertex count, with ``k=10;`` before ``k=1;`` from
+    m = 12 on).
 
     Generated by inserting leaf ``m`` at every vertex, edge, and leg of the
     (m-1)-leaf trees; insertion at a leg splits off a new vertex carrying
-    both labels.  The first insertion of each class is kept, with vertices
-    numbered 0.. and halfedges as ``StableGraph.build`` numbers them.
+    both labels.  Each class arises from exactly one insertion (see
+    ``_tree_layer``), with vertices numbered 0.. and halfedges as
+    ``StableGraph.build`` numbers them.
     """
     out = []
-    for tree in _tree_menu(m):
-        ends = tree[m:]
-        out.append(StableGraph.build(
-            {v: 0 for v in range(len(ends) // 2 + 1)},
-            zip(ends[::2], ends[1::2]),
-            dict(zip(range(1, m + 1), tree[:m])),
-        ))
+    for nv, _ in _layers(m):
+        for tree in _tree_layer(m, nv):
+            ends = tree[m:]
+            out.append(StableGraph.build(
+                {v: 0 for v in range(nv)},
+                zip(ends[::2], ends[1::2]),
+                dict(zip(range(1, m + 1), tree[:m])),
+            ))
     return tuple(out)
 
 
@@ -408,7 +458,7 @@ class FiberStrata:
 
 def _fiber_menus(axis: AxisGraph) -> tuple:
     """The points of multiplicity >= 3 as (index, point) pairs, and the
-    flat labelled-tree menu of each."""
+    length of the labelled-tree menu of each, counted by ``_layers``."""
     for p in axis.singular_points():
         if p.genus != 0:
             raise DomainError("fiber enumeration needs all points of genus zero")
@@ -417,19 +467,19 @@ def _fiber_menus(axis: AxisGraph) -> tuple:
     big = [
         (i, p) for i, p in enumerate(axis.singular_points()) if p.multiplicity >= 3
     ]
-    return big, [_tree_menu(p.multiplicity) for _, p in big]
+    return big, [sum(size for _, size in _layers(p.multiplicity)) for _, p in big]
 
 
 class _StrataBase(NamedTuple):
     """What every stratum of a fiber shares: the points of multiplicity
-    >= 3 and their flat tree menus (``_fiber_menus``), the components' genera,
+    >= 3 and their menu lengths (``_fiber_menus``), the components' genera,
     the halfedges of slots and legs with their vertices, the node edges,
     the leg map, the first tree halfedge id, the first inserted vertex id,
     and the slot halfedges of each menu point (leaf i is glued to slot i;
     slots are sorted)."""
 
     big: list
-    menus: list
+    sizes: list
     genus: dict
     hvertex: dict
     epairs: list
@@ -441,7 +491,7 @@ class _StrataBase(NamedTuple):
 
 def _strata_base(axis: AxisGraph) -> _StrataBase:
     """The per-axis half of ``_raw_strata``."""
-    big, menus = _fiber_menus(axis)
+    big, sizes = _fiber_menus(axis)
     genus = {cid: axis.component_genus(cid) for cid in axis.components()}
     h = 10_000_000
     hvertex = {}
@@ -463,7 +513,7 @@ def _strata_base(axis: AxisGraph) -> _StrataBase:
     ]
     leaf_slots = [[slot_hid[slot] for slot in p.slots] for _, p in big]
     return _StrataBase(
-        big, menus, genus, hvertex, epairs, legs, h, max(genus) + 1, leaf_slots
+        big, sizes, genus, hvertex, epairs, legs, h, max(genus) + 1, leaf_slots
     )
 
 
@@ -476,9 +526,9 @@ def _build_stratum(base: _StrataBase, combo) -> tuple:
     s_epairs = list(base.epairs)
     h = base.first_tree_hid
     v0 = base.fresh_start
-    for menu, pick, slots in zip(base.menus, combo, base.leaf_slots):
-        tree = menu[pick]
+    for pick, slots in zip(combo, base.leaf_slots):
         m = len(slots)
+        tree = _tree_at(m, pick)
         for j in range(m, len(tree), 2):
             s_hvertex[h] = v0 + tree[j]
             s_hvertex[h + 1] = v0 + tree[j + 1]
@@ -495,18 +545,13 @@ def _build_stratum(base: _StrataBase, combo) -> tuple:
     return (s_genus, s_hvertex, s_epairs, base.legs), frozenset(range(base.fresh_start, v0))
 
 
-def _combos(base: _StrataBase):
-    """The choices of a fiber, in the order of ``fiber_strata``."""
-    return itertools.product(*(range(len(menu)) for menu in base.menus))
-
-
 def _raw_strata(axis: AxisGraph):
     """Yield the fiber as ((vertex -> genus, halfedge -> vertex, edge pairs,
     leg -> halfedge), inserted vertex ids, choice): the data of the graphs
     of ``iter_fiber_strata``, in its order and with its ids.  The leg map
     is one object shared by every stratum."""
     base = _strata_base(axis)
-    for combo in _combos(base):
+    for combo in itertools.product(*map(range, base.sizes)):
         yield (*_build_stratum(base, combo), combo)
 
 
@@ -531,10 +576,10 @@ def _slot_classes(axis: AxisGraph, big) -> list:
 
 @lru_cache(maxsize=None)
 def _tree_splits(m: int, pick: int) -> tuple:
-    """The edges of tree ``pick`` of ``_tree_menu(m)`` as (end, end, split),
-    where split is the bitmask of the leaves on the edge's side away from
-    leaf 1 (bit i for leaf i + 1)."""
-    tree = _tree_menu(m)[pick]
+    """The edges of tree ``pick`` of ``leaf_labeled_trees(m)`` as (end,
+    end, split), where split is the bitmask of the leaves on the edge's
+    side away from leaf 1 (bit i for leaf i + 1)."""
+    tree = _tree_at(m, pick)
     ends = tree[m:]
     below = [0] * (len(ends) // 2 + 1)
     for i, v in enumerate(tree[:m]):
@@ -573,21 +618,28 @@ def _pick_signature(m: int, pick: int, classes) -> frozenset:
         if any(c & split and c & ~split for c in classes):
             at.setdefault(u, []).append(split)
             at.setdefault(w, []).append(split)
-    for i, v in enumerate(_tree_menu(m)[pick][:m]):
+    for i, v in enumerate(_tree_at(m, pick)[:m]):
         if any(c >> i & 1 for c in classes):
             at.setdefault(v, []).append(1 << i)
     return frozenset(frozenset(edges) for edges in at.values())
 
 
 def _signed_combos(axis: AxisGraph, base: _StrataBase):
-    """Yield each choice of the fiber, in the order of ``fiber_strata``,
-    with its signature: the ``_pick_signature`` of every menu point, each
-    computed once per pick, when first needed."""
+    """Yield the choices of the fiber that keep every point without slot
+    classes at pick 0, in the order of ``fiber_strata``, each with its
+    signature: the ``_pick_signature`` of every menu point, each computed
+    once per pick, when first needed.  At a point without slot classes
+    every pick has the empty signature, so each stratum shares its
+    signature with the choice yielded here that agrees with it elsewhere,
+    and no tree of such a point but its first is built."""
     points = [
         (p.multiplicity, classes, {})
         for (_, p), classes in zip(base.big, _slot_classes(axis, base.big))
     ]
-    for combo in _combos(base):
+    ranges = [
+        range(size if classes else 1) for size, (_, classes, _) in zip(base.sizes, points)
+    ]
+    for combo in itertools.product(*ranges):
         sig = []
         for (m, classes, seen), pick in zip(points, combo):
             s = seen.get(pick)
@@ -608,9 +660,9 @@ def iter_fiber_strata(axis: AxisGraph):
 def fiber_strata(axis: AxisGraph) -> FiberStrata:
     """Enumerate the whole fiber: ``iter_fiber_strata`` collected, with the
     per-point stratum counts and the moduli dimension."""
-    big, menus = _fiber_menus(axis)
+    big, sizes = _fiber_menus(axis)
     counts = tuple(
-        (i, p.multiplicity, len(menu)) for (i, p), menu in zip(big, menus)
+        (i, p.multiplicity, size) for (i, p), size in zip(big, sizes)
     )
     total = 1
     for _, _, c in counts:

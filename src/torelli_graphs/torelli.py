@@ -413,23 +413,6 @@ def _stratum_key(stratum) -> bytes:
     return _pieces_key(_pst_pieces([genus[v] for v in vids], ends))
 
 
-def _fiber_keys(axis: AxisGraph):
-    """Yield the class key of every stratum, in the order of
-    ``fiber_strata``.  Only a stratum whose signature is new is built and
-    keyed; stratum 0 is also built as a ``StableGraph``, which runs the
-    structural checks once per fiber."""
-    base = _strata_base(axis)
-    keys: dict = {}
-    for i, (combo, sig) in enumerate(_signed_combos(axis, base)):
-        key = keys.get(sig)
-        if key is None:
-            stratum, _ = _build_stratum(base, combo)
-            if not i:
-                StableGraph(*stratum)
-            key = keys[sig] = _stratum_key(stratum)
-        yield key
-
-
 def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     """Decide whether all stable models over an axis graph share one class.
 
@@ -458,6 +441,18 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     which ``pst`` drops.  So their class keys are equal, and the piece
     checks pass or fail on both alike.
 
+    A point without slot classes gives every pick the empty signature, so
+    the walk keeps it at pick 0 and runs over the product of the other
+    points only.  Setting the picks of such points to 0 keeps a stratum's
+    signature, hence its key, and moves it no later in product order, so
+    the first differing choice of that walk, read in mixed radix over the
+    full menu lengths, is the first differing stratum of the fiber.  The
+    check builds the trees of a point only up to the layer
+    (``contraction._tree_layer``) of the last pick it reads: the star
+    alone at a point without slot classes, and at a single varying point
+    the trees up to the witness's layer.  Menu lengths come from a count,
+    not from the trees.
+
     Equal keys also rule out a moduli remnant, an inserted vertex that
     survives ``pst`` with valence at least 4.  Split such a vertex v in its
     tree: a cycle of the bridgeless piece passes v through halfedges h and
@@ -472,10 +467,22 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
                           "points avoiding markings)")
     if axis.genus() < 1:
         raise DomainError("genus-zero axis graphs have no class")
-    keys = _fiber_keys(axis)
-    first = next(keys)
-    for i, key in enumerate(keys, 1):
-        if key != first:
+    base = _strata_base(axis)
+    keys: dict = {}
+    first = None
+    for combo, sig in _signed_combos(axis, base):
+        key = keys.get(sig)
+        if key is None:
+            stratum, _ = _build_stratum(base, combo)
+            if first is None:
+                StableGraph(*stratum)  # the structural checks, once per fiber
+            key = keys[sig] = _stratum_key(stratum)
+        if first is None:
+            first = key
+        elif key != first:
+            i = 0
+            for pick, size in zip(combo, base.sizes):
+                i = i * size + pick
             return FiberVerdict(
                 "varies",
                 None,

@@ -15,8 +15,15 @@ from functools import lru_cache
 from math import factorial
 
 from torelli_graphs import Degeneration, DomainError, StableGraph
+from torelli_graphs.contraction import (
+    _build_stratum,
+    _pick_signature,
+    _slot_classes,
+    _strata_base,
+)
 from torelli_graphs.enumeration import check_type, iter_degenerations, raw_contract
 from torelli_graphs.graph_core import canonicalize_raw, connected_components, raw_from_key
+from torelli_graphs.torelli import _stratum_key
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +760,33 @@ def exhaustive_fiber_verdict(axis):
             remnant,
         )
     return FiberVerdict("constant", keys[0], None, None)
+
+
+def signed_combos(axis):
+    """Yield each choice of the fiber, in the order of ``fiber_strata``,
+    with its signature: the library's ``_pick_signature`` at every point,
+    computed per stratum.  The reference for the walk of
+    ``fiber_constant``, which keeps points without slot classes at pick 0
+    and reads each pick's signature once."""
+    base = _strata_base(axis)
+    classes = _slot_classes(axis, base.big)
+    for combo in itertools.product(*map(range, base.sizes)):
+        yield combo, tuple(
+            _pick_signature(p.multiplicity, pick, point_classes)
+            for (_, p), pick, point_classes in zip(base.big, combo, classes)
+        )
+
+
+def fiber_keys(axis):
+    """Yield the class key of every stratum, in the order of
+    ``fiber_strata``, keying one stratum per signature of
+    ``signed_combos``."""
+    base = _strata_base(axis)
+    keys: dict = {}
+    for combo, sig in signed_combos(axis):
+        if sig not in keys:
+            keys[sig] = _stratum_key(_build_stratum(base, combo)[0])
+        yield keys[sig]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from torelli_graphs import (
     z_contract,
 )
 
-from torelli_graphs.graph_core import MAX_GENUS
+import torelli_graphs.contraction as contraction
+from torelli_graphs.graph_core import MAX_GENUS, canonicalize_raw
 
 from _oracles import normalize_at, stable_tree_count, star_canonical_key, star_genus
 
@@ -66,6 +67,46 @@ class TestLeafTrees:
         assert digest.hexdigest() == (
             "809e7a058ba6e87288921521ade33ee1e74eebdaf97dc8e68067d5cb63c0d4ca"
         )
+
+
+class TestTreeLayers:
+    """The menu of m-leaf trees as key-ordered layers, one per vertex
+    count, each built from the layers of m - 1 leaves."""
+
+    def test_sizes_sum_to_tree_counts_without_trees(self, monkeypatch):
+        monkeypatch.setattr(contraction, "_tree_layer", None)  # no layer is built
+        for m in range(3, 13):
+            assert sum(size for _, size in contraction._layers(m)) == stable_tree_count(m)
+
+    def test_built_layers_match_sizes_in_key_order(self):
+        for m in range(3, 9):
+            for nv, size in contraction._layers(m):
+                layer = contraction._tree_layer(m, nv)
+                keys = [canonicalize_raw(contraction._tree_raw(t, m)).key for t in layer]
+                assert len(layer) == size
+                # each tree is one candidate, so the layer needs no dedupe
+                assert len(set(keys)) == size
+                assert keys == sorted(keys)
+                assert all(key.startswith(b"TG1;k=%d;" % nv) for key in keys)
+
+    def test_layer_order_is_key_prefix_order(self):
+        # a path of nv vertices with two leaves at each end and one at each
+        # inner vertex: its key prefix names its vertex count
+        prefixes = {}
+        for nv in range(1, 13):
+            leg_vertices = [0] + list(range(nv)) + [nv - 1]
+            raw = (
+                (0,) * nv,
+                tuple(zip(range(1, nv + 3), leg_vertices)),
+                (0,) * nv,
+                tuple((v, v + 1) for v in range(nv - 1)),
+            )
+            key = canonicalize_raw(raw).key
+            prefixes[nv] = key[: key.index(b";", 4) + 1]
+            assert prefixes[nv] == b"TG1;k=%d;" % nv
+        order = [nv for nv, _ in contraction._layers(14)]
+        assert [prefixes[nv] for nv in order] == sorted(prefixes.values())
+        assert order[:4] == [10, 11, 12, 1]  # b"10;" < b"1;"
 
 
 class TestZContract:

@@ -29,9 +29,11 @@ from _oracles import (
     c1_equivalent,
     delete_edges,
     exhaustive_fiber_verdict,
+    fiber_keys,
     naive_separating_edges,
     normalize_at,
     random_order_stabilize_keys,
+    signed_combos,
     surviving_inserted_edges,
 )
 import torelli_graphs.contraction as contraction
@@ -687,7 +689,7 @@ class TestFiberEarlyExit:
     def test_memo_keys_match_stratum_keys(self, catalog):
         axes = fiber_constant_axes(catalog) + list(MULTI_POINT_AXES.values())
         for axis in axes:
-            assert list(torelli_module._fiber_keys(axis)) == [
+            assert list(fiber_keys(axis)) == [
                 torelli_module._stratum_key(stratum)
                 for stratum, _, _ in torelli_module._raw_strata(axis)
             ]
@@ -701,8 +703,7 @@ class TestFiberEarlyExit:
         ]
         for axis in axes:
             fs = fiber_strata(axis)
-            base = contraction._strata_base(axis)
-            memo = [sig for _, sig in contraction._signed_combos(axis, base)]
+            memo = [sig for _, sig in signed_combos(axis)]
             naive = [
                 surviving_inserted_edges(graph, inserted)
                 for graph, inserted in zip(fs.graphs, fs.inserted_vertices)
@@ -715,6 +716,73 @@ class TestFiberEarlyExit:
         assert fiber_constant(axis).constant
         assert fiber_strata(axis).total == 2752
         assert len(calls) == 1
+
+    def test_separating_points_walk_one_choice(self, monkeypatch):
+        # two separating 7-slot points: 2752 ** 2 = 7573504 strata, every
+        # pick with the empty signature, so one choice is walked and keyed
+        axis = genus_one_axis(
+            13,
+            [(c, 0) for c in range(7)],
+            [(6, 1)] + [(c, 0) for c in range(7, 13)],
+        )
+        calls = count_stratum_keys(monkeypatch)
+        walked = []
+        signed_walk = torelli_module._signed_combos
+
+        def counting_signed_walk(axis, base):
+            for combo, sig in signed_walk(axis, base):
+                walked.append(combo)
+                assert len(walked) == 1, "the walk passes the first choice"
+                yield combo, sig
+
+        monkeypatch.setattr(torelli_module, "_signed_combos", counting_signed_walk)
+        assert fiber_constant(axis).constant
+        assert walked == [(0, 0)] and len(calls) == 1
+        assert sum(size for _, size in contraction._layers(7)) ** 2 == 7573504
+
+
+class TestLazyTreeLayers:
+    """A fiber check builds the tree layers of a point only as far as the
+    picks it reads."""
+
+    @staticmethod
+    def canonicalized_trees(monkeypatch, m) -> list:
+        """The vertex count of every m-leaf tree canonicalized in
+        ``contraction`` from now on, with the layer caches cleared."""
+        contraction._tree_layer.cache_clear()
+        contraction._tree_splits.cache_clear()
+        counts = []
+        canonicalize_raw = contraction.canonicalize_raw
+
+        def counting_canonicalize_raw(raw, *args, **kwargs):
+            if len(raw[1]) == m and not any(raw[0]):
+                counts.append(len(raw[0]))
+            return canonicalize_raw(raw, *args, **kwargs)
+
+        monkeypatch.setattr(contraction, "canonicalize_raw", counting_canonicalize_raw)
+        return counts
+
+    def test_separating_point_builds_the_star_alone(self, monkeypatch):
+        axis = profile_axis((1,) * 7)
+        counts = self.canonicalized_trees(monkeypatch, 7)
+        assert fiber_constant(axis).constant
+        assert counts == [1]
+        # the whole fiber canonicalizes every tree once
+        assert fiber_strata(axis).total == 2752
+        assert len(counts) == 2752
+
+    def test_varying_point_builds_up_to_the_witness_layer(self, monkeypatch):
+        axis = profile_axis((2, 2, 1, 1, 1))
+        counts = self.canonicalized_trees(monkeypatch, 7)
+        _, i = fiber_constant(axis).witness
+        built = []
+        for nv, size in contraction._layers(7):
+            built.append((nv, size))
+            if i < size:
+                break
+            i -= size
+        assert sorted(counts) == [nv for nv, size in built for _ in range(size)]
+        assert len(built) < len(contraction._layers(7))
 
 
 def count_stratum_keys(monkeypatch) -> list:
