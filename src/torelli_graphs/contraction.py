@@ -375,13 +375,15 @@ def _tree_layer(m: int, nv: int) -> tuple:
     The candidates insert leaf m at a vertex of each tree of
     ``_tree_layer(m - 1, nv)``, and at an edge or a leg of each tree of
     ``_tree_layer(m - 1, nv - 1)``, where it splits off the new vertex
-    nv - 1 (carrying both labels at a leg).  Each tree of m leaves is
-    exactly one candidate, so none is dropped.  Remove leaf m from it,
-    and smooth the vertex it leaves if that vertex has valence 2: this
-    gives the one tree of m - 1 leaves it comes from, and the one vertex,
-    edge or leg where m went in.  A stable tree with labelled leaves has
-    no automorphism but the identity, as each edge is fixed by the leaves
-    on its sides, so that site is one site of the layer's representative.
+    nv - 1 (carrying both labels at a leg).  Every tree of m leaves and
+    nv vertices is exactly one candidate, so the candidates need no
+    dedupe, and over all layers they number A000311(m).  Remove leaf m
+    from such a tree, and smooth the vertex it leaves if that vertex has
+    valence 2: this gives the one tree of m - 1 leaves it grows from, and
+    the one vertex, edge or leg where m went in.  The layer below holds
+    that tree once, and the site is one site of it, because a stable tree
+    with labelled leaves has no automorphism but the identity: each edge
+    is fixed by the split of the leaves on its two sides.
     """
     if not 1 <= nv <= m - 2:
         return ()

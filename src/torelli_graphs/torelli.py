@@ -448,10 +448,10 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     the first differing choice of that walk, read in mixed radix over the
     full menu lengths, is the first differing stratum of the fiber.  The
     check builds the trees of a point only up to the layer
-    (``contraction._tree_layer``) of the last pick it reads: the star
-    alone at a point without slot classes, and at a single varying point
-    the trees up to the witness's layer.  Menu lengths come from a count,
-    not from the trees.
+    (``contraction._tree_layer``) of the last pick it reads: the first
+    layer alone at a point without slot classes (the star, up to 11
+    slots), and at a single varying point the layers up to the witness's.
+    Menu lengths come from a count, not from the trees.
 
     Equal keys also rule out a moduli remnant, an inserted vertex that
     survives ``pst`` with valence at least 4.  Split such a vertex v in its

@@ -748,9 +748,8 @@ class TestLazyTreeLayers:
     @staticmethod
     def canonicalized_trees(monkeypatch, m) -> list:
         """The vertex count of every m-leaf tree canonicalized in
-        ``contraction`` from now on, with the layer caches cleared."""
+        ``contraction`` from now on, with the layer cache cleared."""
         contraction._tree_layer.cache_clear()
-        contraction._tree_splits.cache_clear()
         counts = []
         canonicalize_raw = contraction.canonicalize_raw
 
