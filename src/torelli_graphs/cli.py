@@ -9,14 +9,11 @@ outputs go through --out.  Exit codes: 0 success (for fiber-check: constant),
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
-import tempfile
 import time
 import zlib
-from multiprocessing import Pool
 from pathlib import Path
 
 from . import __version__
@@ -91,6 +88,9 @@ def load_or_enumerate(genus: int, markings: int, bound: int = DEFAULT_BOUND) -> 
             "keys": keys,
         }
     )
+    import contextlib  # only a cache write needs these; a read skips their import
+    import tempfile
+
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -239,6 +239,8 @@ def cmd_torelli_classes(args) -> tuple:
     catalog = load_or_enumerate(args.genus, args.markings, args.bound)
     key_strs = [k.decode("ascii") for k in catalog.keys]
     if args.jobs > 1:
+        from multiprocessing import Pool  # its import costs every other command
+
         with Pool(args.jobs) as pool:
             pairs = pool.map(_class_of_key, key_strs, chunksize=64)
     else:

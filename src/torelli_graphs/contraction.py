@@ -626,20 +626,33 @@ def _pick_signature(m: int, pick: int, classes) -> frozenset:
     return frozenset(frozenset(edges) for edges in at.values())
 
 
+def _star_pick(m: int) -> int:
+    """The pick of the star, the one-vertex tree, in ``leaf_labeled_trees(m)``:
+    the length of the layers that ``_layers`` lists before it."""
+    pick = 0
+    for nv, size in _layers(m):
+        if nv == 1:
+            return pick
+        pick += size
+
+
 def _signed_combos(axis: AxisGraph, base: _StrataBase):
     """Yield the choices of the fiber that keep every point without slot
-    classes at pick 0, in the order of ``fiber_strata``, each with its
+    classes at its star, in the order of ``fiber_strata``, each with its
     signature: the ``_pick_signature`` of every menu point, each computed
     once per pick, when first needed.  At a point without slot classes
     every pick has the empty signature, so each stratum shares its
     signature with the choice yielded here that agrees with it elsewhere,
-    and no tree of such a point but its first is built."""
+    and no tree of such a point but the star is built.  The star is pick 0
+    up to 11 slots; from 12 on it follows the ``k=10;`` layer, which holds
+    every trivalent tree."""
     points = [
         (p.multiplicity, classes, {})
         for (_, p), classes in zip(base.big, _slot_classes(axis, base.big))
     ]
     ranges = [
-        range(size if classes else 1) for size, (_, classes, _) in zip(base.sizes, points)
+        range(size) if classes else (_star_pick(m),)
+        for size, (m, classes, _) in zip(base.sizes, points)
     ]
     for combo in itertools.product(*ranges):
         sig = []

@@ -30,6 +30,7 @@ from .graph_core import (
     bridge_edge_indices,
     canonicalize_raw,
     connected_components,
+    raw_from_key,
 )
 from .contraction import (
     AxisGraph,
@@ -351,14 +352,43 @@ def _one_vertex_part(genus: int, loops: int) -> bytes:
     return _piece_part((genus,), [(0, 0)] * loops, [(0, 1)] * loops)
 
 
+# The 3222 multi-vertex pieces of the 4555 (5,0) graphs and the benchmark's
+# symmetric families fall in 779 classes, which hold about 0.4 KB an entry;
+# the bound keeps the memo of a long-running process finite.
+@lru_cache(maxsize=4096)
+def _keyed_part(piece_key: bytes) -> bytes:
+    """``_piece_part`` of the multi-vertex piece whose canonical key is
+    ``piece_key``, computed on the raw the key spells.  Its halfedge pairs
+    would only name a bridge, and a piece has none."""
+    genera, _, _, ends = raw_from_key(piece_key)
+    return _piece_part(genera, ends, [(2 * i, 2 * i + 1) for i in range(len(ends))])
+
+
 def _pieces_key(pieces) -> bytes:
     """Class key of polystable pieces in index form, as ``_pst_pieces``
-    returns them."""
-    parts = [
-        _one_vertex_part(genera[0], len(ends)) if len(genera) == 1
-        else _piece_part(genera, ends, halves)
-        for _, genera, ends, halves in pieces
-    ]
+    returns them.
+
+    A multi-vertex piece is canonicalized as the raw ``(genera, (), (0,) *
+    k, edges)``, and its part is read from ``_keyed_part`` under that key,
+    so the incidence search runs once per isomorphism class of pieces.
+    This is the part of the piece itself.  Let f be an isomorphism from the
+    piece onto the raw its key spells.  A set of edges disconnects the
+    piece exactly when its image disconnects the image, so f maps the C1
+    blocks (edges e and e' share one when removing either makes the other
+    separating) onto those of the image, and keeps the genera and each
+    block's halfedge count at each vertex.  Extended to the blocks, f is
+    an isomorphism of the tagged incidence graphs, so their canonical keys
+    are equal.  The moduli flag reads genera and valences, which f keeps.
+    So equal piece keys give equal parts.
+    """
+    parts = []
+    for _, genera, ends, _ in pieces:
+        if len(genera) == 1:
+            parts.append(_one_vertex_part(genera[0], len(ends)))
+        else:
+            edges = sorted((u, w) if u <= w else (w, u) for u, w in ends)
+            raw = (tuple(genera), (), (0,) * len(genera), tuple(edges))
+            parts.append(_keyed_part(canonicalize_raw(raw).key))
     return b"TK1;" + b"||".join(sorted(parts))
 
 
@@ -442,16 +472,16 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
     checks pass or fail on both alike.
 
     A point without slot classes gives every pick the empty signature, so
-    the walk keeps it at pick 0 and runs over the product of the other
+    the walk keys it at its star and runs over the product of the other
     points only.  Setting the picks of such points to 0 keeps a stratum's
     signature, hence its key, and moves it no later in product order, so
     the first differing choice of that walk, read in mixed radix over the
-    full menu lengths, is the first differing stratum of the fiber.  The
-    check builds the trees of a point only up to the layer
-    (``contraction._tree_layer``) of the last pick it reads: the first
-    layer alone at a point without slot classes (the star, up to 11
-    slots), and at a single varying point the layers up to the witness's.
-    Menu lengths come from a count, not from the trees.
+    full menu lengths with pick 0 at those points, is the first differing
+    stratum of the fiber.  The check builds the trees of a point only up
+    to the layer (``contraction._tree_layer``) of the last pick it reads:
+    the star's layer alone at a point without slot classes, and at a
+    single varying point the layers up to the witness's.  Menu lengths
+    come from a count, not from the trees.
 
     Equal keys also rule out a moduli remnant, an inserted vertex that
     survives ``pst`` with valence at least 4.  Split such a vertex v in its
@@ -481,8 +511,10 @@ def fiber_constant(axis: AxisGraph) -> FiberVerdict:
             first = key
         elif key != first:
             i = 0
-            for pick, size in zip(combo, base.sizes):
-                i = i * size + pick
+            # an empty signature marks a point without slot classes (a class
+            # keeps the edges of its slots), walked at its star
+            for pick, size, point_sig in zip(combo, base.sizes, sig):
+                i = i * size + (pick if point_sig else 0)
             return FiberVerdict(
                 "varies",
                 None,

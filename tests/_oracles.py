@@ -766,8 +766,8 @@ def signed_combos(axis):
     """Yield each choice of the fiber, in the order of ``fiber_strata``,
     with its signature: the library's ``_pick_signature`` at every point,
     computed per stratum.  The reference for the walk of
-    ``fiber_constant``, which keeps points without slot classes at pick 0
-    and reads each pick's signature once."""
+    ``fiber_constant``, which keeps points without slot classes at their
+    star and reads each pick's signature once."""
     base = _strata_base(axis)
     classes = _slot_classes(axis, base.big)
     for combo in itertools.product(*map(range, base.sizes)):

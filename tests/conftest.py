@@ -48,3 +48,13 @@ def halfedge_lookups(monkeypatch):
 
     monkeypatch.setattr(StableGraph, "vertex_of", counting)
     return calls
+
+
+@pytest.fixture
+def cold_class_memos():
+    """Empty the memos of class-key parts, so that every piece shape the
+    test meets runs its incidence search afresh."""
+    from torelli_graphs import torelli
+
+    torelli._one_vertex_part.cache_clear()
+    torelli._keyed_part.cache_clear()

@@ -40,6 +40,7 @@ import torelli_graphs.contraction as contraction
 import torelli_graphs.graph_core as graph_core
 import torelli_graphs.torelli as torelli_module
 from torelli_graphs.cli import main
+from torelli_graphs.enumeration import enumerate_stable_graphs
 
 
 def r_shape():
@@ -408,26 +409,37 @@ class TestSymmetricFamilies:
         for (name, n), key in self.PINNED.items():
             assert torelli_key(family[name](n)).decode() == key
 
-    def test_search_leaves_bounded(self, monkeypatch):
+    def test_search_leaves_bounded(self, monkeypatch, cold_class_memos):
         # the incidence graph of banana m has m interchangeable blocks and
         # centre c has c interchangeable arms; without automorphism pruning
-        # they take 2*m! and c! leaves
-        calls = []
-        real = graph_core._certificate
+        # they take 2*m! and c! leaves.  The piece itself has 2 swappable
+        # vertices in banana m and c interchangeable arms in centre c.
+        leaves = {"piece": 0, "incidence": 0}
+        searches = []
+        certificate = graph_core._certificate
+        canonicalize_raw = torelli_module.canonicalize_raw
+
+        def tagged_search(raw, tags=None):
+            searches.append("piece" if tags is None else "incidence")
+            try:
+                return canonicalize_raw(raw, tags)
+            finally:
+                searches.pop()
 
         def counting(*args):
-            calls.append(1)
-            return real(*args)
+            leaves[searches[-1]] += 1
+            return certificate(*args)
 
+        monkeypatch.setattr(torelli_module, "canonicalize_raw", tagged_search)
         monkeypatch.setattr(graph_core, "_certificate", counting)
         for m in range(2, 13):
-            calls.clear()
+            leaves.update(piece=0, incidence=0)
             torelli_key(banana(m))
-            assert len(calls) <= m + 1
+            assert leaves["incidence"] <= m + 1 and leaves["piece"] <= 2
         for c in range(1, 11):
-            calls.clear()
+            leaves.update(piece=0, incidence=0)
             torelli_key(centre(c))
-            assert len(calls) <= c
+            assert leaves["incidence"] <= c and leaves["piece"] <= c
 
 
 class TestOneVertexPieces:
@@ -448,6 +460,62 @@ class TestOneVertexPieces:
             for p, (g, loops) in zip(pieces, spec)
         )
         assert polystable_key(PolystableGraph(pieces)) == b"TK1;" + b"||".join(parts)
+
+
+class TestPieceMemo:
+    """Multi-vertex pieces take their class part from a memo keyed by the
+    piece's canonical key."""
+
+    @staticmethod
+    def relabelled(genera, ends, rng):
+        """The same genera and edges under a random vertex renaming, with
+        the edges shuffled and some written backwards."""
+        perm = rng.sample(range(len(genera)), len(genera))
+        renamed = [0] * len(genera)
+        for v, g in enumerate(genera):
+            renamed[perm[v]] = g
+        edges = [(perm[w], perm[u]) if rng.random() < 0.5 else (perm[u], perm[w])
+                 for u, w in ends]
+        rng.shuffle(edges)
+        return renamed, edges
+
+    def test_memo_matches_direct_parts(self, catalog, cold_class_memos):
+        rng = random.Random(18)
+        catalogs = [enumerate_stable_graphs(4, 0, bound=9), catalog(3, 2)]
+        count = 0
+        for cat in catalogs:
+            for key in sorted(cat.keys):
+                genera, _, _, ends = graph_core.raw_from_key(key)
+                for g, e in [(genera, ends), self.relabelled(genera, ends, rng)]:
+                    for piece in torelli_module._pst_pieces(g, e):
+                        _, p_genera, p_ends, halves = piece
+                        if len(p_genera) > 1:
+                            count += 1
+                            assert torelli_module._pieces_key([piece]) == (
+                                b"TK1;" + torelli_module._piece_part(p_genera, p_ends, halves)
+                            )
+        info = torelli_module._keyed_part.cache_info()
+        assert count > info.currsize > 1 and info.hits > 0
+
+    def test_class_table_searches_once_per_piece_class(
+            self, capsys, monkeypatch, cold_class_memos):
+        # (3,2) has 433 multi-vertex pieces in 12 isomorphism classes, and
+        # 9 shapes of one-vertex piece
+        sizes = []
+        piece_part = torelli_module._piece_part
+
+        def counting_piece_part(genera, ends, halves):
+            sizes.append(len(genera))
+            return piece_part(genera, ends, halves)
+
+        monkeypatch.setattr(torelli_module, "_piece_part", counting_piece_part)
+        assert main(["torelli-classes", "--genus", "3", "--markings", "2"]) == 0
+        capsys.readouterr()
+        assert sum(k > 1 for k in sizes) == 12
+        assert sizes.count(1) == 9
+
+    def test_memo_is_bounded(self):
+        assert torelli_module._keyed_part.cache_info().maxsize is not None
 
 
 class TestFiberConstant:
@@ -783,6 +851,35 @@ class TestLazyTreeLayers:
         assert sorted(counts) == [nv for nv, size in built for _ in range(size)]
         assert len(built) < len(contraction._layers(7))
 
+
+    @pytest.mark.parametrize("second_point", [False, True])
+    def test_twelve_slot_separating_point_builds_the_star_alone(
+            self, monkeypatch, second_point):
+        # from 12 slots on, pick 0 lies in the k=10; layer, which holds
+        # every trivalent tree (654729075 of them), not at the star
+        contraction._tree_layer.cache_clear()
+        built = []
+        tree_layer = contraction._tree_layer
+
+        def guarded_tree_layer(m, nv):
+            assert m < 12 or nv < 2, f"built layer {nv} of {m} leaves"
+            built.append((m, nv))
+            return tree_layer(m, nv)
+
+        monkeypatch.setattr(contraction, "_tree_layer", guarded_tree_layer)
+        separating = [(c, 0) for c in range(12)]
+        if not second_point:
+            assert fiber_constant(genus_one_axis(12, separating)).constant
+        else:
+            # a (2,2,1) point on components 11-13 varies; the witness keeps
+            # pick 0 at the separating point, so it is the second point's
+            # pick alone
+            axis = genus_one_axis(
+                14, separating, [(11, 1), (11, 2), (12, 0), (12, 1), (13, 0)]
+            )
+            _, i = fiber_constant(axis).witness
+            assert 0 < i < 26
+        assert (12, 1) in built
 
 def count_stratum_keys(monkeypatch) -> list:
     """Record every stratum that ``fiber_constant`` keys."""
